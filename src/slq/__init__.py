@@ -57,7 +57,6 @@ from .minmax import (
     grad_f_squared,
     gradient_search,
     minmax_eta,
-    named_vector_bounds,
     numerical_grad_f_squared,
     one_step_analytic_bound,
     unit_vector,

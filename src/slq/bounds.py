@@ -3,7 +3,7 @@ Laplacian spread, plus the generic symmetric-matrix spread bounds they
 specialize.
 
 Every evaluator returns a BoundResult carrying the value, the bound
-direction, the spread it targets (s_Q, s, or s_L), and the hypotheses it
+direction, the spread it targets (s_Q or s_L), and the hypotheses it
 assumed.  ``evaluate_catalog`` runs the whole catalog on one graph,
 reporting inapplicable entries with a reason instead of skipping them.
 """
@@ -11,7 +11,7 @@ reporting inapplicable entries with a reason instead of skipping them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,7 +40,7 @@ class BoundResult:
     name: str
     value: float
     direction: str  # "lower" | "upper"
-    target: str  # "s_Q" | "s" | "s_L"
+    target: str  # "s_Q" | "s_L"
     assumptions: frozenset
     inputs_used: tuple
     strict: bool = False
@@ -111,22 +111,25 @@ def jiang_zhan_lower(w) -> float:
 # shared per-graph context
 
 
-class GraphData:
-    """Caches the spectra, degree data and oracle values one catalog run needs."""
+@dataclass(frozen=True)
+class CatalogOptions:
+    """Catalog evaluation settings."""
 
-    def __init__(
-        self,
-        g: Graph,
-        alpha_limit: int = ALPHA_LIMIT,
-        vb_limit: int = VB_LIMIT,
-        eb_limit: int = EB_LIMIT,
-        search: Optional[SearchConfig] = None,
-    ):
+    include: Optional[tuple] = None  # entry names; None = whole catalog
+    alpha_limit: int = ALPHA_LIMIT
+    vb_limit: int = VB_LIMIT
+    eb_limit: int = EB_LIMIT
+    search: SearchConfig = field(default_factory=SearchConfig)
+
+
+class GraphData:
+    """Caches the spectra, degree data and oracle values one catalog run
+    needs; each is computed on first read, so a spectrum no entry reads is
+    never solved."""
+
+    def __init__(self, g: Graph, options: Optional[CatalogOptions] = None):
         self.graph = g
-        self.alpha_limit = alpha_limit
-        self.vb_limit = vb_limit
-        self.eb_limit = eb_limit
-        self.search = search or SearchConfig()
+        self.options = options or CatalogOptions()
 
     @cached_property
     def profile(self):
@@ -167,11 +170,6 @@ class GraphData:
         return float(mu[0] - mu[-2])
 
     @property
-    def s_a(self) -> float:
-        lam = self.lambda_values
-        return float(lam[0] - lam[-1])
-
-    @property
     def mu1(self) -> float:
         return float(self.mu_values[0])
 
@@ -180,22 +178,23 @@ class GraphData:
         return float(self.lambda_values[0])
 
     @cached_property
-    def _vb_outcome(self):
+    def _vb_value(self):
         try:
-            return vertex_bipartiteness(self.graph, limit=self.vb_limit), None
-        except OracleLimitError as exc:
-            return None, str(exc)
+            return vertex_bipartiteness(self.graph, limit=self.options.vb_limit)
+        except OracleLimitError:
+            return None
 
     @property
     def vb(self) -> int:
-        value, reason = self._vb_outcome
-        if value is None:
-            raise OracleLimitError("vertex bipartiteness", self.graph.n, self.vb_limit)
-        return value
+        if self._vb_value is None:
+            raise OracleLimitError(
+                "vertex bipartiteness", self.graph.n, self.options.vb_limit
+            )
+        return self._vb_value
 
 
-def _data(g) -> GraphData:
-    return g if isinstance(g, GraphData) else GraphData(g)
+def _data(g, options: Optional[CatalogOptions] = None) -> GraphData:
+    return g if isinstance(g, GraphData) else GraphData(g, options)
 
 
 def _require(cond: bool, reason: str):
@@ -235,8 +234,9 @@ def lb_mu1_minus_vb(g) -> BoundResult:
     bipartite graphs."""
     d = _data(g)
     _require(d.connected, "needs a connected graph")
+    vb = d.vb  # refuses above the oracle limit before any spectrum is solved
     return _lower(
-        "mu1_minus_vb", d.mu1 - d.vb, assumptions=("connected",), inputs=("mu1", "vb")
+        "mu1_minus_vb", d.mu1 - vb, assumptions=("connected",), inputs=("mu1", "vb")
     )
 
 
@@ -257,9 +257,10 @@ def lb_2lambda1_minus_vb(g) -> BoundResult:
     """s_Q >= 2 lambda_1 - vertex bipartiteness; equality when regular bipartite."""
     d = _data(g)
     _require(d.connected, "needs a connected graph")
+    vb = d.vb  # refuses above the oracle limit before any spectrum is solved
     return _lower(
         "2lambda1_minus_vb",
-        2.0 * d.lambda1 - d.vb,
+        2.0 * d.lambda1 - vb,
         assumptions=("connected",),
         inputs=("lambda1", "vb"),
     )
@@ -293,20 +294,13 @@ def liu_23_value(n: int, m: int, Delta: int) -> float:
     return float(np.sqrt(max(rad, 0)) / (n - 1))
 
 
-def lb_jz_degree_form(g) -> BoundResult:
+def lb_jz_degree_form(g, name: str = "meg2") -> BoundResult:
     """s_Q >= sqrt((Delta-delta)^2 + 2Delta + 2delta + 4), the degree-only
-    form of the sharpened pair bound (reported as meg2)."""
+    form of the sharpened pair bound (reported as meg2, and as L1 under its
+    comparison-section name)."""
     d = _data(g)
     p = d.profile
-    return _lower("meg2", meg2_value(p.Delta, p.delta), inputs=("Delta", "delta"))
-
-
-def lb_l1_formula(g) -> BoundResult:
-    """Same closed form as lb_jz_degree_form under its comparison-section
-    name L1; kept as a separate catalog entry for table reporting."""
-    d = _data(g)
-    p = d.profile
-    return _lower("L1", meg2_value(p.Delta, p.delta), inputs=("Delta", "delta"))
+    return _lower(name, meg2_value(p.Delta, p.delta), inputs=("Delta", "delta"))
 
 
 def lb_regular_sqrt(g) -> BoundResult:
@@ -441,21 +435,24 @@ def lb_z2(g) -> BoundResult:
     """Inverse-cubed-degree minmax bound (reported as Z2)."""
     d = _data(g)
     _require(d.profile.delta >= 1, "needs a graph without isolated vertices")
+    deg = d.profile.degrees.astype(np.float64)
     return _lower(
-        "Z2", minmax.inverse_cubed_degree_value(d.graph), inputs=("degrees", "Q")
+        "Z2", minmax.bound_from_vector(d.q_matrix, deg**-3), inputs=("degrees", "Q")
     )
 
 
 def lb_eta(g) -> BoundResult:
     """Gradient-search lower bound on s_Q."""
     d = _data(g)
-    trace = minmax.gradient_search(d.q_matrix, d.search)
+    trace = minmax.gradient_search(d.q_matrix, d.options.search)
     return _lower("eta", trace.best_value, inputs=("Q",))
 
 
 def lb_one_step(g) -> BoundResult:
+    """One projected gradient step from the all-ones vector."""
     d = _data(g)
-    return minmax.one_step_analytic_bound(d.graph, step=d.search.step)
+    value = minmax.one_step_analytic_bound(d.q_matrix, step=d.options.search.step)
+    return _lower("one_step", value, inputs=("Q",))
 
 
 # ---------------------------------------------------------------------------
@@ -593,152 +590,41 @@ def compare_l1_l2(g) -> L1L2Report:
 
 @dataclass(frozen=True)
 class BoundCatalogEntry:
-    """A named bound with its applicability predicate and evaluator."""
+    """A named bound and its evaluator; the direction and target spread
+    travel on the BoundResult the evaluator returns."""
 
     name: str
-    description: str
-    direction: str
-    target: str
     evaluate: Callable
-    uses_oracle: bool = False
-    uses_search: bool = False
 
 
 CATALOG = (
-    BoundCatalogEntry(
-        "mu1_minus_vb",
-        "largest Laplacian eigenvalue minus vertex bipartiteness (connected)",
-        "lower", "s_Q", lb_mu1_minus_vb, uses_oracle=True,
-    ),
-    BoundCatalogEntry(
-        "4m_over_n_minus_vb",
-        "4m/n minus vertex bipartiteness (connected)",
-        "lower", "s_Q", lb_4m_over_n_minus_vb, uses_oracle=True,
-    ),
-    BoundCatalogEntry(
-        "2lambda1_minus_vb",
-        "twice the spectral radius minus vertex bipartiteness (connected)",
-        "lower", "s_Q", lb_2lambda1_minus_vb, uses_oracle=True,
-    ),
-    BoundCatalogEntry(
-        "degree_two_case",
-        "two-case degree-extremes bound max(2 sqrt(Delta), sqrt((Delta-delta)^2+2Delta+2delta))",
-        "lower", "s_Q", lb_degree_two_case,
-    ),
-    BoundCatalogEntry(
-        "meg2",
-        "degree-only pair bound sqrt((Delta-delta)^2+2Delta+2delta+4)",
-        "lower", "s_Q", lb_jz_degree_form,
-    ),
-    BoundCatalogEntry(
-        "L1",
-        "comparison-section name for the meg2 closed form",
-        "lower", "s_Q", lb_l1_formula,
-    ),
-    BoundCatalogEntry(
-        "regular_sqrt",
-        "2 sqrt(k+1) on k-regular graphs",
-        "lower", "s_Q", lb_regular_sqrt,
-    ),
-    BoundCatalogEntry(
-        "meg1",
-        "Zagreb-index bound (2/n) sqrt(n M1 - 4m^2 + 2mn) (connected)",
-        "lower", "s_Q", lb_zagreb,
-    ),
-    BoundCatalogEntry(
-        "liu_delta",
-        "strict degree-gap bound Delta + 1 - delta (connected)",
-        "lower", "s_Q", lb_liu_delta,
-    ),
-    BoundCatalogEntry(
-        "liu_2.3",
-        "degree-extremes bound sqrt((n Delta)^2 + 8(m-Delta)(2m-n Delta))/(n-1)",
-        "lower", "s_Q", lb_l2,
-    ),
-    BoundCatalogEntry(
-        "cubic_moment",
-        "third-moment ratio minus the adjusted edge minimum",
-        "lower", "s_Q", lb_cubic_moment,
-    ),
-    BoundCatalogEntry(
-        "regular_kplus1",
-        "k+1 on k-regular graphs",
-        "lower", "s_Q", lb_regular_kplus1,
-    ),
-    BoundCatalogEntry(
-        "path_universal",
-        "path minimum 2 + 2 cos(pi/n) (connected)",
-        "lower", "s_Q", lb_path_universal,
-    ),
-    BoundCatalogEntry(
-        "Ncon",
-        "all-ones vector bound (4/n) sqrt(n M1 - 4m^2)",
-        "lower", "s_Q", lb_ncon,
-    ),
-    BoundCatalogEntry(
-        "degree_vector",
-        "degree-vector minmax bound",
-        "lower", "s_Q", lb_degree_vector,
-    ),
-    BoundCatalogEntry(
-        "Z1",
-        "inverse-degree minmax bound",
-        "lower", "s_Q", lb_z1,
-    ),
-    BoundCatalogEntry(
-        "Z2",
-        "inverse-cubed-degree minmax bound",
-        "lower", "s_Q", lb_z2,
-    ),
-    BoundCatalogEntry(
-        "one_step",
-        "single projected gradient step from the all-ones vector",
-        "lower", "s_Q", lb_one_step, uses_search=True,
-    ),
-    BoundCatalogEntry(
-        "eta",
-        "projected gradient search maximum",
-        "lower", "s_Q", lb_eta, uses_search=True,
-    ),
-    BoundCatalogEntry(
-        "mirsky_q",
-        "Frobenius-trace upper bound sqrt(2 M1 + 4m - 8m^2/n)",
-        "upper", "s_Q", ub_mirsky_q,
-    ),
-    BoundCatalogEntry(
-        "mirsky_q_degree",
-        "Frobenius-trace upper bound with M1 majorized by degree extremes",
-        "upper", "s_Q", ub_mirsky_q_degreeonly,
-    ),
-    BoundCatalogEntry(
-        "global_2n4",
-        "global upper bound 2n - 4 (n >= 5)",
-        "upper", "s_Q", ub_global_2n4,
-    ),
-    BoundCatalogEntry(
-        "liu_degree_avg",
-        "max of degree plus neighbor-average-degree (connected)",
-        "upper", "s_Q", ub_liu_degree_avg,
-    ),
-    BoundCatalogEntry(
-        "das_laplacian",
-        "Laplacian-spread upper bound sqrt(2 M1 + 4m - 8m^2/(n-1)) (n >= 5)",
-        "upper", "s_L", ub_das_laplacian,
-    ),
+    BoundCatalogEntry("mu1_minus_vb", lb_mu1_minus_vb),
+    BoundCatalogEntry("4m_over_n_minus_vb", lb_4m_over_n_minus_vb),
+    BoundCatalogEntry("2lambda1_minus_vb", lb_2lambda1_minus_vb),
+    BoundCatalogEntry("degree_two_case", lb_degree_two_case),
+    BoundCatalogEntry("meg2", lb_jz_degree_form),
+    BoundCatalogEntry("L1", partial(lb_jz_degree_form, name="L1")),
+    BoundCatalogEntry("regular_sqrt", lb_regular_sqrt),
+    BoundCatalogEntry("meg1", lb_zagreb),
+    BoundCatalogEntry("liu_delta", lb_liu_delta),
+    BoundCatalogEntry("liu_2.3", lb_l2),
+    BoundCatalogEntry("cubic_moment", lb_cubic_moment),
+    BoundCatalogEntry("regular_kplus1", lb_regular_kplus1),
+    BoundCatalogEntry("path_universal", lb_path_universal),
+    BoundCatalogEntry("Ncon", lb_ncon),
+    BoundCatalogEntry("degree_vector", lb_degree_vector),
+    BoundCatalogEntry("Z1", lb_z1),
+    BoundCatalogEntry("Z2", lb_z2),
+    BoundCatalogEntry("one_step", lb_one_step),
+    BoundCatalogEntry("eta", lb_eta),
+    BoundCatalogEntry("mirsky_q", ub_mirsky_q),
+    BoundCatalogEntry("mirsky_q_degree", ub_mirsky_q_degreeonly),
+    BoundCatalogEntry("global_2n4", ub_global_2n4),
+    BoundCatalogEntry("liu_degree_avg", ub_liu_degree_avg),
+    BoundCatalogEntry("das_laplacian", ub_das_laplacian),
 )
 
 CATALOG_BY_NAME = {entry.name: entry for entry in CATALOG}
-
-
-@dataclass(frozen=True)
-class CatalogOptions:
-    """Catalog evaluation settings."""
-
-    include: Optional[tuple] = None  # entry names; None = whole catalog
-    alpha_limit: int = ALPHA_LIMIT
-    vb_limit: int = VB_LIMIT
-    eb_limit: int = EB_LIMIT
-    search: SearchConfig = field(default_factory=SearchConfig)
 
 
 @dataclass(frozen=True)
@@ -758,10 +644,12 @@ class CatalogOutcome:
 def evaluate_catalog(g, options: Optional[CatalogOptions] = None):
     """Evaluate every selected catalog entry on g, in name order.
 
+    g is a Graph or a GraphData; options default to the GraphData's own.
     Inapplicable entries and oracle size-limit refusals become outcomes
     with a reason; they never abort the remaining entries.
     """
-    opts = options or CatalogOptions()
+    data = _data(g, options)
+    opts = options or data.options
     if opts.include is None:
         names = sorted(CATALOG_BY_NAME)
     else:
@@ -769,21 +657,11 @@ def evaluate_catalog(g, options: Optional[CatalogOptions] = None):
         if unknown:
             raise ValueError(f"unknown bound names: {', '.join(sorted(unknown))}")
         names = sorted(opts.include)
-    data = g if isinstance(g, GraphData) else GraphData(
-        g,
-        alpha_limit=opts.alpha_limit,
-        vb_limit=opts.vb_limit,
-        eb_limit=opts.eb_limit,
-        search=opts.search,
-    )
     outcomes = []
     for name in names:
-        entry = CATALOG_BY_NAME[name]
         try:
-            result = entry.evaluate(data)
-        except BoundNotApplicable as exc:
-            outcomes.append(CatalogOutcome(name=name, result=None, reason=str(exc)))
-        except OracleLimitError as exc:
+            result = CATALOG_BY_NAME[name].evaluate(data)
+        except (BoundNotApplicable, OracleLimitError) as exc:
             outcomes.append(CatalogOutcome(name=name, result=None, reason=str(exc)))
         else:
             outcomes.append(CatalogOutcome(name=name, result=result))

@@ -124,9 +124,14 @@ def _oracle_limits(args):
 
 def _run_config(args, bounds=None) -> RunConfig:
     alpha_limit, vb_limit, eb_limit = _oracle_limits(args)
-    search = SearchConfig(
-        iterations=args.iters, step=args.step, step_mode=args.step_mode
-    )
+    if args.precision < 0:
+        raise GraphSpecError("--precision must be at least 0")
+    try:
+        search = SearchConfig(
+            iterations=args.iters, step=args.step, step_mode=args.step_mode
+        )
+    except ValueError as exc:
+        raise GraphSpecError(str(exc)) from None
     catalog = CatalogOptions(
         alpha_limit=alpha_limit,
         vb_limit=vb_limit,

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph, degree_profile
+from .graphs import Graph
 from .spectra import signless_laplacian_matrix
 
 UNIT_TOL = 1e-8
@@ -253,84 +253,20 @@ def inverse_degree_value(g: Graph) -> float:
     return 2.0 * np.sqrt(max(rad, 0.0)) / yy
 
 
-def inverse_cubed_degree_value(g: Graph) -> float:
-    """Inverse-cubed-degree bound, computed through bound_from_vector."""
-    if min(g.degrees) == 0:
-        raise ValueError(
-            "inverse-cubed-degree bound needs a graph without isolated vertices"
-        )
-    d = np.asarray(g.degrees, dtype=np.float64)
-    return bound_from_vector(signless_laplacian_matrix(g), d**-3)
+def one_step_analytic_bound(w, step: float = 0.1) -> float:
+    """f after a single projected gradient step from the all-ones start point.
 
-
-def named_vector_bounds(g: Graph):
-    """The four standard vector choices as BoundResults: all-ones (Ncon),
-    degree vector, inverse degrees (Z1), inverse cubed degrees (Z2)."""
-    from .bounds import BoundResult
-
-    profile = degree_profile(g)
-    results = [
-        BoundResult(
-            name="Ncon",
-            value=ncon_value(g.n, g.m, profile.m1),
-            direction="lower",
-            target="s_Q",
-            assumptions=frozenset(),
-            inputs_used=("n", "m", "M1"),
-        ),
-        BoundResult(
-            name="degree_vector",
-            value=degree_vector_value(profile),
-            direction="lower",
-            target="s_Q",
-            assumptions=frozenset(),
-            inputs_used=("degrees", "d2"),
-        ),
-        BoundResult(
-            name="Z1",
-            value=inverse_degree_value(g),
-            direction="lower",
-            target="s_Q",
-            assumptions=frozenset(),
-            inputs_used=("degrees",),
-        ),
-        BoundResult(
-            name="Z2",
-            value=inverse_cubed_degree_value(g),
-            direction="lower",
-            target="s_Q",
-            assumptions=frozenset(),
-            inputs_used=("degrees", "Q"),
-        ),
-    ]
-    return results
-
-
-def one_step_analytic_bound(g: Graph, step: float = 0.1):
-    """Single projected gradient step from the all-ones start point.
-
-    Valid lower bound by the minmax principle regardless of step size; on
-    regular graphs the start is stationary and the value is 0.
+    Valid lower bound on s(W) by the minmax principle regardless of step
+    size; for the signless Laplacian of a regular graph the start is
+    stationary and the value is 0.
     """
-    from .bounds import BoundResult
-
-    w = signless_laplacian_matrix(g)
-    n = g.n
+    w = _as_matrix(w)
+    n = w.shape[0]
     x = np.full(n, 1.0 / np.sqrt(n))
     g_vec = grad_f_squared(w, x)
     tang = g_vec - (g_vec @ x) * x
     tnorm = float(np.linalg.norm(tang))
-    if tnorm <= STATIONARY_TOL * max(1.0, float(np.linalg.norm(g_vec))):
-        value = f_value(w, x)
-    else:
+    if tnorm > STATIONARY_TOL * max(1.0, float(np.linalg.norm(g_vec))):
         x = x + step * (tang / tnorm)
         x /= np.linalg.norm(x)
-        value = f_value(w, x)
-    return BoundResult(
-        name="one_step",
-        value=value,
-        direction="lower",
-        target="s_Q",
-        assumptions=frozenset(),
-        inputs_used=("Q",),
-    )
+    return f_value(w, x)

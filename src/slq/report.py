@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -19,7 +19,7 @@ import numpy as np
 from .bounds import CATALOG_BY_NAME, CatalogOptions, GraphData, evaluate_catalog
 from .graphs import Graph, GraphError, generate_named, generate_random_connected, read_edge_list
 from .minmax import SearchConfig, gradient_search
-from .validation import printed_form_excluded
+from .validation import classify, printed_form_excluded
 
 # paper-style column order; any further selected bounds follow sorted by name
 PAPER_COLUMNS = ("liu_2.3", "meg1", "meg2", "Ncon", "Z1", "Z2", "eta")
@@ -129,44 +129,20 @@ def resolve_bounds(selection) -> tuple:
 def build_row(label: str, g: Graph, columns, options: CatalogOptions,
               seed: Optional[int] = None) -> ExperimentRow:
     """Evaluate the selected bounds on one graph and flag violations."""
-    data = GraphData(
-        g,
-        alpha_limit=options.alpha_limit,
-        vb_limit=options.vb_limit,
-        eb_limit=options.eb_limit,
-        search=options.search,
-    )
-    opts = CatalogOptions(
-        include=tuple(columns),
-        alpha_limit=options.alpha_limit,
-        vb_limit=options.vb_limit,
-        eb_limit=options.eb_limit,
-        search=options.search,
-    )
-    by_name = {o.name: o for o in evaluate_catalog(data, opts)}
+    data = GraphData(g, replace(options, include=tuple(columns)))
+    by_name = {o.name: o for o in evaluate_catalog(data)}
     outcomes = tuple(by_name[c] for c in columns)
-    reference = {"s_Q": data.s_q, "s_L": data.s_l, "s": data.s_a}
     violations = []
     for outcome in outcomes:
-        if not outcome.evaluated:
-            continue
-        res = outcome.result
-        ref = reference[res.target]
-        bad = (
-            res.value > ref + 1e-6
-            if res.direction == "lower"
-            else res.value < ref - 1e-6
-        )
-        if bad:
-            violations.append((res.name, printed_form_excluded(res.name, data)))
-    profile_delta = min(g.degrees)
-    profile_Delta = max(g.degrees)
+        verdict = classify(outcome, data, printed_form_excluded)
+        if verdict is not None:
+            violations.append((outcome.name, verdict[1]))
     return ExperimentRow(
         label=label,
         n=g.n,
         m=g.m,
-        Delta=profile_Delta,
-        delta=profile_delta,
+        Delta=max(g.degrees),
+        delta=min(g.degrees),
         seed=seed,
         s_q=data.s_q,
         outcomes=outcomes,

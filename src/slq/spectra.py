@@ -25,9 +25,9 @@ RESIDUAL_CONTRACT = 1e-9
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n), dtype=np.float64)
-    for u, v in g.edges:
-        a[u, v] = 1.0
-        a[v, u] = 1.0
+    u, v = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2).T
+    a[u, v] = 1.0
+    a[v, u] = 1.0
     return a
 
 

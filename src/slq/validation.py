@@ -54,24 +54,39 @@ SANDWICH_TOL = 1e-6
 # isolated vertex pins q_n = 0: K_2+K_1 gives sqrt(7) > 2) and on some
 # disjoint unions (P_3+K_2 gives sqrt(11) > 3; 2K_2 gives sqrt(8) > 2).
 # 2 sqrt(k+1) overshoots on K_2 and K_3.
-PRINTED_FORM_SUSPECTS = frozenset({"meg2", "L1", "regular_sqrt"})
-
-
 def printed_form_excluded(name: str, data: GraphData) -> bool:
-    """True when a suspect entry hits its known-unsound graph class; such
-    cells are logged rather than failed."""
-    if name not in PRINTED_FORM_SUSPECTS:
-        return False
-    if data.regular:
-        return True
-    if name == "regular_sqrt":
-        return False
+    """True when an entry hits the known-unsound class of its printed form,
+    as the README lists them: meg2 and L1 on K_2, K_3, P_3, graphs with an
+    isolated vertex and disconnected graphs; regular_sqrt on K_2 and K_3.
+    Such cells are logged rather than failed."""
     g = data.graph
-    if g.n == 3 and g.m == 2:
-        return True
-    if min(g.degrees) == 0:
-        return True
-    return not data.connected
+    k2_or_k3 = g.n in (2, 3) and g.m == g.n * (g.n - 1) // 2
+    if name == "regular_sqrt":
+        return k2_or_k3
+    if name in ("meg2", "L1"):
+        p3 = g.n == 3 and g.m == 2
+        return k2_or_k3 or p3 or data.profile.delta == 0 or not data.connected
+    return False
+
+
+def classify(outcome, data: GraphData, exclude, tol: float = SANDWICH_TOL):
+    """The one violation rule: None when the outcome was not evaluated or
+    sits on the right side of the spread it targets (a lower bound at most
+    spread + tol, an upper bound at least spread - tol); otherwise the pair
+    (reference spread, excluded), where excluded is exclude(name, data) and
+    False when exclude is None.  The reference is read from data only here,
+    so a spectrum is solved only for a target some evaluated entry has."""
+    if not outcome.evaluated:
+        return None
+    res = outcome.result
+    ref = data.s_q if res.target == "s_Q" else data.s_l
+    if res.direction == "lower":
+        bad = res.value > ref + tol
+    else:
+        bad = res.value < ref - tol
+    if not bad:
+        return None
+    return ref, exclude is not None and exclude(res.name, data)
 
 
 # ---------------------------------------------------------------------------
@@ -232,34 +247,23 @@ def check_sandwich(
     exclude=printed_form_excluded,
 ) -> ValidationReport:
     """Every applicable lower bound <= spread + tol and every upper bound
-    >= spread - tol, per target spread.  Violations from excluded cells go
-    to report.logged; everything else to report.failures."""
-    opts = options or CatalogOptions()
+    >= spread - tol, per target spread, as decided by classify.  Violations
+    from excluded cells go to report.logged; everything else to
+    report.failures."""
     rep = report if report is not None else ValidationReport()
     for label, g in corpus:
-        data = GraphData(
-            g,
-            alpha_limit=opts.alpha_limit,
-            vb_limit=opts.vb_limit,
-            eb_limit=opts.eb_limit,
-            search=opts.search,
-        )
-        reference = {"s_Q": data.s_q, "s_L": data.s_l, "s": data.s_a}
+        data = GraphData(g, options)
         rep.graphs_checked += 1
-        for outcome in evaluate_catalog(data, opts):
+        for outcome in evaluate_catalog(data):
             if not outcome.evaluated:
                 rep.inapplicable_cells += 1
                 continue
             rep.cells_checked += 1
-            res = outcome.result
-            ref = reference[res.target]
-            bad = (
-                res.value > ref + tol
-                if res.direction == "lower"
-                else res.value < ref - tol
-            )
-            if not bad:
+            verdict = classify(outcome, data, exclude, tol)
+            if verdict is None:
                 continue
+            ref, excluded = verdict
+            res = outcome.result
             violation = CellViolation(
                 graph_label=label,
                 entry=res.name,
@@ -268,10 +272,7 @@ def check_sandwich(
                 value=res.value,
                 reference=ref,
             )
-            if exclude is not None and exclude(res.name, data):
-                rep.logged.append(violation)
-            else:
-                rep.failures.append(violation)
+            (rep.logged if excluded else rep.failures).append(violation)
     return rep
 
 

@@ -25,6 +25,7 @@ from slq import (
     spread_report,
     unit_vector,
 )
+from slq.bounds import lb_one_step
 from slq.minmax import inverse_degree_value
 from slq.rng import SplitMix64
 
@@ -258,21 +259,24 @@ class TestGradientSearch:
 
 class TestOneStep:
     def test_regular_graph_sits_at_stationary_zero(self):
-        res = one_step_analytic_bound(generate_named("cycle", 6))
+        g = generate_named("cycle", 6)
+        value = one_step_analytic_bound(signless_laplacian_matrix(g))
+        assert value == pytest.approx(0.0, abs=1e-9)
+        res = lb_one_step(g)
         assert res.name == "one_step"
-        assert res.value == pytest.approx(0.0, abs=1e-9)
+        assert res.value == value
 
     def test_irregular_graph_moves_and_stays_valid(self):
         g = generate_named("star", 4)
-        res = one_step_analytic_bound(g)
-        assert 0.0 < res.value <= spread_report(g).s_q + 1e-9
+        value = one_step_analytic_bound(signless_laplacian_matrix(g))
+        assert 0.0 < value <= spread_report(g).s_q + 1e-9
 
     @given(connected_specs)
     def test_always_a_valid_lower_bound(self, spec):
         n, m, seed = spec
         g = generate_random_connected(n, m, seed)
-        res = one_step_analytic_bound(g, step=0.3)
-        assert res.value <= spread_report(g).s_q + 1e-9
+        value = one_step_analytic_bound(signless_laplacian_matrix(g), step=0.3)
+        assert value <= spread_report(g).s_q + 1e-9
 
 
 class TestUnitVector:

@@ -4,15 +4,18 @@ import math
 
 import pytest
 
-from slq import generate_named, generate_random_connected, write_edge_list
-from slq.bounds import CatalogOptions
+from slq import bounds, generate_named, generate_random_connected, write_edge_list
+from slq.bounds import CatalogOptions, evaluate_catalog
+from slq.combinatorics import VB_LIMIT
 from slq.cli import main
 from slq.minmax import SearchConfig
+from slq.spectra import eigenvalues
 from slq.report import (
     DEFAULT_BOUNDS,
     PAPER_COLUMNS,
     GraphSpecError,
     RunConfig,
+    build_row,
     parse_graph_spec,
     parse_table_csv,
     resolve_bounds,
@@ -331,9 +334,70 @@ class TestCliMain:
         assert main(["invariants", "cycle:5", "--oracle-limit", "0"]) == 2
         assert "at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--iters", "0"], "iterations must be at least 1"),
+            (["--step", "-1"], "step must be positive"),
+            (["--step", "nan"], "step must be positive"),
+            (["--precision", "-3"], "--precision must be at least 0"),
+        ],
+    )
+    def test_bad_search_and_precision_flags_exit_2(self, capsys, flags, message):
+        assert main(["table", "path:4"] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("spec", ["path:1", "complete:1"])
+    @pytest.mark.parametrize("bounds", [[], ["--bounds", "all"]])
+    def test_single_vertex_table(self, capsys, spec, bounds):
+        # the only entry that targets s_L needs n >= 5, so the Laplacian
+        # spread, which needs two eigenvalues, is never read
+        assert main(["table", spec] + bounds + ["--format", "csv"]) == 0
+        rows = parse_table_csv(capsys.readouterr().out)
+        assert len(rows) == 1
+        row = rows[0]
+        assert (row["n"], row["m"], row["s_Q"]) == (1, 0, 0.0)
+        assert row["meg2"] == 2.0
+        expected = "meg2[logged];L1[logged]" if bounds else "meg2[logged]"
+        assert row["violations"] == expected
+
     def test_cli_byte_determinism(self, capsys):
         args = ["table", "rand:n=10,m=20,seed=7", "--bounds", "all", "--format", "csv"]
         assert main(args) == 0
         first = capsys.readouterr().out
         assert main(args) == 0
         assert capsys.readouterr().out == first
+
+
+class TestLazySpectra:
+    """Spectra are solved only where an entry or the violation rule reads
+    them; counted by replacing the eigensolver the catalog context calls."""
+
+    @pytest.fixture
+    def eig_calls(self, monkeypatch):
+        calls = []
+
+        def counting(w):
+            calls.append(len(w))
+            return eigenvalues(w)
+
+        monkeypatch.setattr(bounds, "eigenvalues", counting)
+        return calls
+
+    def test_default_row_solves_only_q(self, eig_calls):
+        g = generate_random_connected(30, 80, seed=5)
+        row = build_row("g", g, DEFAULT_BOUNDS, CatalogOptions())
+        assert all(o.evaluated for o in row.outcomes)
+        assert eig_calls == [30]
+
+    def test_vb_entries_refuse_before_any_spectrum(self, eig_calls):
+        g = generate_random_connected(25, 40, seed=5)
+        assert g.n > VB_LIMIT
+        include = ("mu1_minus_vb", "2lambda1_minus_vb")
+        outcomes = evaluate_catalog(g, CatalogOptions(include=include))
+        assert [o.evaluated for o in outcomes] == [False, False]
+        assert all("oracle limit" in o.reason for o in outcomes)
+        assert eig_calls == []

@@ -97,9 +97,16 @@ class TestCorpora:
 
 class TestExclusionPredicate:
     def test_suspects_on_regular_graphs(self):
-        k4 = GraphData(generate_named("complete", 4))
-        for name in ("meg2", "L1", "regular_sqrt"):
-            assert printed_form_excluded(name, k4)
+        # the README classes: K_2 and K_3 for all three names, no larger
+        # regular graph for any of them
+        for spec in (("complete", 2), ("complete", 3)):
+            data = GraphData(generate_named(*spec))
+            for name in ("meg2", "L1", "regular_sqrt"):
+                assert printed_form_excluded(name, data)
+        for spec in (("complete", 4), ("cycle", 6)):
+            data = GraphData(generate_named(*spec))
+            for name in ("meg2", "L1", "regular_sqrt"):
+                assert not printed_form_excluded(name, data)
 
     def test_pair_form_on_path3_shape(self):
         p3 = GraphData(generate_named("path", 3))
