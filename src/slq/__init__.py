@@ -8,7 +8,6 @@ unit sphere, and deterministic comparison tables.
 from .bounds import (
     BoundCatalogEntry,
     BoundNotApplicable,
-    BoundResult,
     CATALOG,
     CatalogOptions,
     CatalogOutcome,

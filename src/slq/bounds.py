@@ -2,28 +2,23 @@
 Laplacian spread, plus the generic symmetric-matrix spread bounds they
 specialize.
 
-Every evaluator returns a BoundResult carrying the value, the bound
-direction, the spread it targets (s_Q or s_L), and the hypotheses it
-assumed.  ``evaluate_catalog`` runs the whole catalog on one graph,
-reporting inapplicable entries with a reason instead of skipping them.
+Every catalog evaluator is a plain function of one ``GraphData`` that
+checks its hypotheses and returns the bound's value.  A catalog entry
+declares the bound's name, its direction and the spread it targets (s_Q
+or s_L) once.  ``evaluate_catalog`` runs the catalog on one graph and
+reports inapplicable entries with a reason instead of skipping them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import minmax
-from .combinatorics import (
-    ALPHA_LIMIT,
-    EB_LIMIT,
-    VB_LIMIT,
-    OracleLimitError,
-    vertex_bipartiteness,
-)
+from .combinatorics import VB_LIMIT, OracleLimitError, vertex_bipartiteness
 from .graphs import Graph, degree_profile, is_connected, is_regular
 from .minmax import SearchConfig
 from .spectra import eigenvalues, laplacian_matrix, adjacency_matrix, signless_laplacian_matrix
@@ -31,19 +26,6 @@ from .spectra import eigenvalues, laplacian_matrix, adjacency_matrix, signless_l
 
 class BoundNotApplicable(ValueError):
     """The graph fails a bound's hypotheses."""
-
-
-@dataclass(frozen=True)
-class BoundResult:
-    """One evaluated bound."""
-
-    name: str
-    value: float
-    direction: str  # "lower" | "upper"
-    target: str  # "s_Q" | "s_L"
-    assumptions: frozenset
-    inputs_used: tuple
-    strict: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -115,11 +97,12 @@ def jiang_zhan_lower(w) -> float:
 class CatalogOptions:
     """Catalog evaluation settings."""
 
-    include: Optional[tuple] = None  # entry names; None = whole catalog
-    alpha_limit: int = ALPHA_LIMIT
-    vb_limit: int = VB_LIMIT
-    eb_limit: int = EB_LIMIT
+    oracle_limit: Optional[int] = None  # caps every oracle; None = each its own default
     search: SearchConfig = field(default_factory=SearchConfig)
+
+    def limit(self, default: int) -> int:
+        """An oracle's size limit: oracle_limit when set, else the default."""
+        return default if self.oracle_limit is None else self.oracle_limit
 
 
 class GraphData:
@@ -180,7 +163,7 @@ class GraphData:
     @cached_property
     def _vb_value(self):
         try:
-            return vertex_bipartiteness(self.graph, limit=self.options.vb_limit)
+            return vertex_bipartiteness(self.graph, limit=self.options.limit(VB_LIMIT))
         except OracleLimitError:
             return None
 
@@ -188,13 +171,9 @@ class GraphData:
     def vb(self) -> int:
         if self._vb_value is None:
             raise OracleLimitError(
-                "vertex bipartiteness", self.graph.n, self.options.vb_limit
+                "vertex bipartiteness", self.graph.n, self.options.limit(VB_LIMIT)
             )
         return self._vb_value
-
-
-def _data(g, options: Optional[CatalogOptions] = None) -> GraphData:
-    return g if isinstance(g, GraphData) else GraphData(g, options)
 
 
 def _require(cond: bool, reason: str):
@@ -202,83 +181,42 @@ def _require(cond: bool, reason: str):
         raise BoundNotApplicable(reason)
 
 
-def _lower(name, value, assumptions=(), inputs=(), strict=False, target="s_Q"):
-    return BoundResult(
-        name=name,
-        value=float(value),
-        direction="lower",
-        target=target,
-        assumptions=frozenset(assumptions),
-        inputs_used=tuple(inputs),
-        strict=strict,
-    )
-
-
-def _upper(name, value, assumptions=(), inputs=(), target="s_Q"):
-    return BoundResult(
-        name=name,
-        value=float(value),
-        direction="upper",
-        target=target,
-        assumptions=frozenset(assumptions),
-        inputs_used=tuple(inputs),
-    )
-
-
 # ---------------------------------------------------------------------------
 # lower bounds on s_Q
 
 
-def lb_mu1_minus_vb(g) -> BoundResult:
+def lb_mu1_minus_vb(data: GraphData) -> float:
     """s_Q >= mu_1 - vertex bipartiteness, with equality on connected
     bipartite graphs."""
-    d = _data(g)
-    _require(d.connected, "needs a connected graph")
-    vb = d.vb  # refuses above the oracle limit before any spectrum is solved
-    return _lower(
-        "mu1_minus_vb", d.mu1 - vb, assumptions=("connected",), inputs=("mu1", "vb")
-    )
+    _require(data.connected, "needs a connected graph")
+    vb = data.vb  # refuses above the oracle limit before any spectrum is solved
+    return data.mu1 - vb
 
 
-def lb_4m_over_n_minus_vb(g) -> BoundResult:
+def lb_4m_over_n_minus_vb(data: GraphData) -> float:
     """s_Q >= 4m/n - vertex bipartiteness (mu_1 >= 4m/n)."""
-    d = _data(g)
-    _require(d.connected, "needs a connected graph")
-    g_ = d.graph
-    return _lower(
-        "4m_over_n_minus_vb",
-        4.0 * g_.m / g_.n - d.vb,
-        assumptions=("connected",),
-        inputs=("n", "m", "vb"),
-    )
+    _require(data.connected, "needs a connected graph")
+    return 4.0 * data.graph.m / data.graph.n - data.vb
 
 
-def lb_2lambda1_minus_vb(g) -> BoundResult:
+def lb_2lambda1_minus_vb(data: GraphData) -> float:
     """s_Q >= 2 lambda_1 - vertex bipartiteness; equality when regular bipartite."""
-    d = _data(g)
-    _require(d.connected, "needs a connected graph")
-    vb = d.vb  # refuses above the oracle limit before any spectrum is solved
-    return _lower(
-        "2lambda1_minus_vb",
-        2.0 * d.lambda1 - vb,
-        assumptions=("connected",),
-        inputs=("lambda1", "vb"),
-    )
+    _require(data.connected, "needs a connected graph")
+    vb = data.vb  # refuses above the oracle limit before any spectrum is solved
+    return 2.0 * data.lambda1 - vb
 
 
-def lb_degree_two_case(g) -> BoundResult:
+def lb_degree_two_case(data: GraphData) -> float:
     """s_Q >= max(2 sqrt(Delta), sqrt((Delta-delta)^2 + 2Delta + 2delta)).
 
     The two expressions are the piecewise cases split at Delta - delta = 2;
     each dominates exactly on its own side, so the max reproduces the split.
     """
-    d = _data(g)
-    p = d.profile
-    value = max(
+    p = data.profile
+    return max(
         2.0 * np.sqrt(p.Delta),
         np.sqrt((p.Delta - p.delta) ** 2 + 2 * p.Delta + 2 * p.delta),
     )
-    return _lower("degree_two_case", value, inputs=("Delta", "delta"))
 
 
 def meg2_value(Delta: int, delta: int) -> float:
@@ -294,81 +232,53 @@ def liu_23_value(n: int, m: int, Delta: int) -> float:
     return float(np.sqrt(max(rad, 0)) / (n - 1))
 
 
-def lb_jz_degree_form(g, name: str = "meg2") -> BoundResult:
+def lb_jz_degree_form(data: GraphData) -> float:
     """s_Q >= sqrt((Delta-delta)^2 + 2Delta + 2delta + 4), the degree-only
     form of the sharpened pair bound (reported as meg2, and as L1 under its
     comparison-section name)."""
-    d = _data(g)
-    p = d.profile
-    return _lower(name, meg2_value(p.Delta, p.delta), inputs=("Delta", "delta"))
+    return meg2_value(data.profile.Delta, data.profile.delta)
 
 
-def lb_regular_sqrt(g) -> BoundResult:
+def lb_regular_sqrt(data: GraphData) -> float:
     """s_Q >= 2 sqrt(k+1) on k-regular graphs."""
-    d = _data(g)
-    _require(d.regular, "needs a regular graph")
-    _require(d.graph.m >= 1, "needs at least one edge")
-    k = d.graph.degrees[0]
-    return _lower(
-        "regular_sqrt", 2.0 * np.sqrt(k + 1.0), assumptions=("regular",), inputs=("k",)
-    )
+    _require(data.regular, "needs a regular graph")
+    _require(data.graph.m >= 1, "needs at least one edge")
+    return 2.0 * np.sqrt(data.graph.degrees[0] + 1.0)
 
 
-def lb_zagreb(g) -> BoundResult:
+def lb_zagreb(data: GraphData) -> float:
     """s_Q >= (2/n) sqrt(n M1 - 4 m^2 + 2 m n) on connected graphs
     (reported as meg1)."""
-    d = _data(g)
-    _require(d.connected, "needs a connected graph")
-    _require(d.graph.n >= 2, "needs at least 2 vertices")
-    g_ = d.graph
-    m1 = d.profile.m1
-    rad = g_.n * m1 - 4 * g_.m * g_.m + 2 * g_.m * g_.n
-    return _lower(
-        "meg1",
-        2.0 / g_.n * np.sqrt(max(rad, 0)),
-        assumptions=("connected",),
-        inputs=("n", "m", "M1"),
-    )
+    _require(data.connected, "needs a connected graph")
+    _require(data.graph.n >= 2, "needs at least 2 vertices")
+    n, m = data.graph.n, data.graph.m
+    rad = n * data.profile.m1 - 4 * m * m + 2 * m * n
+    return 2.0 / n * np.sqrt(max(rad, 0))
 
 
-def lb_liu_delta(g) -> BoundResult:
+def lb_liu_delta(data: GraphData) -> float:
     """s_Q > Delta + 1 - delta on connected graphs (strict)."""
-    d = _data(g)
-    _require(d.connected, "needs a connected graph")
-    _require(d.graph.n >= 2, "needs at least 2 vertices")
-    p = d.profile
-    return _lower(
-        "liu_delta",
-        p.Delta + 1.0 - p.delta,
-        assumptions=("connected",),
-        inputs=("Delta", "delta"),
-        strict=True,
-    )
+    _require(data.connected, "needs a connected graph")
+    _require(data.graph.n >= 2, "needs at least 2 vertices")
+    return data.profile.Delta + 1.0 - data.profile.delta
 
 
-def lb_l2(g) -> BoundResult:
+def lb_l2(data: GraphData) -> float:
     """s_Q >= sqrt((n Delta)^2 + 8 (m - Delta) (2m - n Delta)) / (n-1)
     (reported as liu_2.3)."""
-    d = _data(g)
-    _require(d.graph.n >= 2, "needs at least 2 vertices")
-    g_ = d.graph
-    return _lower(
-        "liu_2.3",
-        liu_23_value(g_.n, g_.m, d.profile.Delta),
-        inputs=("n", "m", "Delta"),
-    )
+    _require(data.graph.n >= 2, "needs at least 2 vertices")
+    return liu_23_value(data.graph.n, data.graph.m, data.profile.Delta)
 
 
-def lb_cubic_moment(g) -> BoundResult:
+def lb_cubic_moment(data: GraphData) -> float:
     """s_Q >= |(sum d^3 + sum d*d2)/M1 - Y| where Y minimizes, over edges
     pq with deg(q) = Delta, (Delta + d_p)/2 - sqrt(((Delta - d_p)/2)^2 + 1)."""
-    d = _data(g)
-    _require(d.graph.m >= 1, "needs at least one edge")
-    p = d.profile
+    _require(data.graph.m >= 1, "needs at least one edge")
+    p = data.profile
     deg = p.degrees
     ratio = float((deg**3).sum() + (deg * p.d2).sum()) / p.m1
     y = None
-    for u, v in d.graph.edges:
+    for u, v in data.graph.edges:
         for a, b in ((u, v), (v, u)):
             if deg[b] == p.Delta:
                 cand = (p.Delta + deg[a]) / 2.0 - np.sqrt(
@@ -376,150 +286,107 @@ def lb_cubic_moment(g) -> BoundResult:
                 )
                 if y is None or cand < y:
                     y = cand
-    return _lower(
-        "cubic_moment", abs(ratio - y), inputs=("degrees", "d2", "M1")
-    )
+    return abs(ratio - y)
 
 
-def lb_regular_kplus1(g) -> BoundResult:
+def lb_regular_kplus1(data: GraphData) -> float:
     """s = s_Q >= k+1 on k-regular graphs with at least one edge."""
-    d = _data(g)
-    _require(d.regular, "needs a regular graph")
-    _require(d.graph.m >= 1, "needs at least one edge")
-    k = d.graph.degrees[0]
-    return _lower(
-        "regular_kplus1", k + 1.0, assumptions=("regular",), inputs=("k",)
-    )
+    _require(data.regular, "needs a regular graph")
+    _require(data.graph.m >= 1, "needs at least one edge")
+    return data.graph.degrees[0] + 1.0
 
 
-def lb_path_universal(g) -> BoundResult:
+def lb_path_universal(data: GraphData) -> float:
     """s_Q >= 2 + 2 cos(pi/n) on connected graphs, with equality on the
     path (fails on disconnected graphs: two disjoint edges have s_Q = 2)."""
-    d = _data(g)
-    _require(d.connected, "needs a connected graph")
-    n = d.graph.n
-    return _lower(
-        "path_universal",
-        2.0 + 2.0 * np.cos(np.pi / n),
-        assumptions=("connected",),
-        inputs=("n",),
-    )
+    _require(data.connected, "needs a connected graph")
+    return 2.0 + 2.0 * np.cos(np.pi / data.graph.n)
 
 
-def lb_ncon(g) -> BoundResult:
+def lb_ncon(data: GraphData) -> float:
     """All-ones vector bound (4/n) sqrt(n M1 - 4m^2) (reported as Ncon)."""
-    d = _data(g)
-    value = minmax.ncon_value(d.graph.n, d.graph.m, d.profile.m1)
-    return _lower("Ncon", value, inputs=("n", "m", "M1"))
+    return minmax.ncon_value(data.graph.n, data.graph.m, data.profile.m1)
 
 
-def lb_degree_vector(g) -> BoundResult:
+def lb_degree_vector(data: GraphData) -> float:
     """Degree-vector minmax bound."""
-    d = _data(g)
-    _require(d.graph.m >= 1, "needs at least one edge")
-    return _lower(
-        "degree_vector",
-        minmax.degree_vector_value(d.profile),
-        inputs=("degrees", "d2"),
-    )
+    _require(data.graph.m >= 1, "needs at least one edge")
+    return minmax.degree_vector_value(data.profile)
 
 
-def lb_z1(g) -> BoundResult:
+def lb_z1(data: GraphData) -> float:
     """Inverse-degree minmax bound (reported as Z1)."""
-    d = _data(g)
-    _require(d.profile.delta >= 1, "needs a graph without isolated vertices")
-    return _lower("Z1", minmax.inverse_degree_value(d.graph), inputs=("degrees",))
+    _require(data.profile.delta >= 1, "needs a graph without isolated vertices")
+    return minmax.inverse_degree_value(data.graph)
 
 
-def lb_z2(g) -> BoundResult:
+def lb_z2(data: GraphData) -> float:
     """Inverse-cubed-degree minmax bound (reported as Z2)."""
-    d = _data(g)
-    _require(d.profile.delta >= 1, "needs a graph without isolated vertices")
-    deg = d.profile.degrees.astype(np.float64)
-    return _lower(
-        "Z2", minmax.bound_from_vector(d.q_matrix, deg**-3), inputs=("degrees", "Q")
-    )
+    _require(data.profile.delta >= 1, "needs a graph without isolated vertices")
+    deg = data.profile.degrees.astype(np.float64)
+    return minmax.bound_from_vector(data.q_matrix, deg**-3)
 
 
-def lb_eta(g) -> BoundResult:
+def lb_eta(data: GraphData) -> float:
     """Gradient-search lower bound on s_Q."""
-    d = _data(g)
-    trace = minmax.gradient_search(d.q_matrix, d.options.search)
-    return _lower("eta", trace.best_value, inputs=("Q",))
+    return minmax.gradient_search(data.q_matrix, data.options.search).best_value
 
 
-def lb_one_step(g) -> BoundResult:
+def lb_one_step(data: GraphData) -> float:
     """One projected gradient step from the all-ones vector."""
-    d = _data(g)
-    value = minmax.one_step_analytic_bound(d.q_matrix, step=d.options.search.step)
-    return _lower("one_step", value, inputs=("Q",))
+    return minmax.one_step_analytic_bound(data.q_matrix, step=data.options.search.step)
 
 
 # ---------------------------------------------------------------------------
 # upper bounds
 
 
-def ub_mirsky_q(g) -> BoundResult:
+def ub_mirsky_q(data: GraphData) -> float:
     """s_Q <= sqrt(2 M1 + 4m - 8 m^2 / n); equality iff K_{n/2,n/2}."""
-    d = _data(g)
-    g_ = d.graph
-    rad = 2.0 * d.profile.m1 + 4.0 * g_.m - 8.0 * g_.m * g_.m / g_.n
-    return _upper("mirsky_q", np.sqrt(max(rad, 0.0)), inputs=("n", "m", "M1"))
+    n, m = data.graph.n, data.graph.m
+    rad = 2.0 * data.profile.m1 + 4.0 * m - 8.0 * m * m / n
+    return np.sqrt(max(rad, 0.0))
 
 
-def ub_mirsky_q_degreeonly(g) -> BoundResult:
+def ub_mirsky_q_degreeonly(data: GraphData) -> float:
     """Degree-extremes variant: M1 replaced by its degree-based majorant,
     so the value always dominates ub_mirsky_q."""
-    d = _data(g)
-    _require(d.graph.n >= 2, "needs at least 2 vertices")
-    g_ = d.graph
-    p = d.profile
-    n, m = g_.n, g_.m
+    _require(data.graph.n >= 2, "needs at least 2 vertices")
+    p = data.profile
+    n, m = data.graph.n, data.graph.m
     m1_major = m * (
         2.0 * m / (n - 1)
         + (n - 2.0) / (n - 1) * p.Delta
         + (p.Delta - p.delta) * (1.0 - p.Delta / (n - 1.0))
     )
     rad = 2.0 * m1_major + 4.0 * m - 8.0 * m * m / n
-    return _upper(
-        "mirsky_q_degree",
-        np.sqrt(max(rad, 0.0)),
-        inputs=("n", "m", "Delta", "delta"),
-    )
+    return np.sqrt(max(rad, 0.0))
 
 
-def ub_global_2n4(g) -> BoundResult:
+def ub_global_2n4(data: GraphData) -> float:
     """s_Q <= 2n - 4 for n >= 5; equality iff K_{n-1} plus an isolated vertex."""
-    d = _data(g)
-    _require(d.graph.n >= 5, "needs at least 5 vertices")
-    return _upper("global_2n4", 2.0 * d.graph.n - 4.0, inputs=("n",))
+    _require(data.graph.n >= 5, "needs at least 5 vertices")
+    return 2.0 * data.graph.n - 4.0
 
 
-def ub_liu_degree_avg(g) -> BoundResult:
+def ub_liu_degree_avg(data: GraphData) -> float:
     """s_Q <= max over vertices of d(v) + average degree of v's neighbors,
     on connected graphs."""
-    d = _data(g)
-    _require(d.connected, "needs a connected graph")
-    _require(d.graph.n >= 2, "needs at least 2 vertices")
-    p = d.profile
+    _require(data.connected, "needs a connected graph")
+    _require(data.graph.n >= 2, "needs at least 2 vertices")
+    p = data.profile
     deg = p.degrees.astype(np.float64)
-    value = float((deg + p.d2 / deg).max())
-    return _upper(
-        "liu_degree_avg", value, assumptions=("connected",), inputs=("degrees", "d2")
-    )
+    return float((deg + p.d2 / deg).max())
 
 
-def ub_das_laplacian(g) -> BoundResult:
+def ub_das_laplacian(data: GraphData) -> float:
     """Laplacian-spread analogue s_L <= sqrt(2 M1 + 4m - 8 m^2/(n-1)) for
     n >= 5, m >= 1; validated against s_L, not s_Q."""
-    d = _data(g)
-    _require(d.graph.n >= 5, "needs at least 5 vertices")
-    _require(d.graph.m >= 1, "needs at least one edge")
-    g_ = d.graph
-    rad = 2.0 * d.profile.m1 + 4.0 * g_.m - 8.0 * g_.m * g_.m / (g_.n - 1.0)
-    return _upper(
-        "das_laplacian", np.sqrt(max(rad, 0.0)), inputs=("n", "m", "M1"), target="s_L"
-    )
+    _require(data.graph.n >= 5, "needs at least 5 vertices")
+    _require(data.graph.m >= 1, "needs at least one edge")
+    n, m = data.graph.n, data.graph.m
+    rad = 2.0 * data.profile.m1 + 4.0 * m - 8.0 * m * m / (n - 1.0)
+    return np.sqrt(max(rad, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +406,7 @@ class L1L2Report:
     consistent: Optional[bool]
 
 
-def compare_l1_l2(g) -> L1L2Report:
+def compare_l1_l2(g: Graph) -> L1L2Report:
     """Compare L1 = sqrt((Delta-delta)^2 + 2Delta + 2delta + 4) with
     L2 = sqrt((n Delta)^2 + 8(m-Delta)(2m-n Delta))/(n-1).
 
@@ -547,11 +414,9 @@ def compare_l1_l2(g) -> L1L2Report:
     k <= 3, or k = 4 with n >= 10; connected graphs with a pendant vertex
     have L2 < L1 when (2n-1)/(n-1)^2 * Delta^2 < 7.
     """
-    d = _data(g)
-    g_ = d.graph
-    p = d.profile
+    p = degree_profile(g)
     l1 = meg2_value(p.Delta, p.delta)
-    l2 = float(lb_l2(d).value) if g_.n >= 2 else float("nan")
+    l2 = liu_23_value(g.n, g.m, p.Delta) if g.n >= 2 else float("nan")
     tol = 1e-9
     if l2 > l1 + tol:
         dominant = "L2"
@@ -561,16 +426,16 @@ def compare_l1_l2(g) -> L1L2Report:
         dominant = "tie"
     regime = "unclassified"
     predicted = None
-    if g_.n > 2 and d.regular:
+    if g.n > 2 and is_regular(g):
         k = p.Delta
         if k <= 3:
             regime, predicted = "regular k<=3", "L1"
-        elif k == 4 and g_.n >= 10:
+        elif k == 4 and g.n >= 10:
             regime, predicted = "regular k=4, n>=10", "L1"
         else:
             regime, predicted = "regular L2-dominant", "L2"
-    elif g_.n > 2 and d.connected and p.delta == 1:
-        if (2.0 * g_.n - 1.0) / (g_.n - 1.0) ** 2 * p.Delta**2 < 7.0:
+    elif g.n > 2 and is_connected(g) and p.delta == 1:
+        if (2.0 * g.n - 1.0) / (g.n - 1.0) ** 2 * p.Delta**2 < 7.0:
             regime, predicted = "pendant small-degree", "L1"
     if predicted is None:
         consistent = None
@@ -590,38 +455,41 @@ def compare_l1_l2(g) -> L1L2Report:
 
 @dataclass(frozen=True)
 class BoundCatalogEntry:
-    """A named bound and its evaluator; the direction and target spread
-    travel on the BoundResult the evaluator returns."""
+    """A named bound: its direction ("lower" | "upper"), the spread it
+    targets ("s_Q" | "s_L") and its evaluator, a function of GraphData
+    that returns the value or raises BoundNotApplicable."""
 
     name: str
-    evaluate: Callable
+    direction: str
+    target: str
+    evaluate: Callable[[GraphData], float]
 
 
 CATALOG = (
-    BoundCatalogEntry("mu1_minus_vb", lb_mu1_minus_vb),
-    BoundCatalogEntry("4m_over_n_minus_vb", lb_4m_over_n_minus_vb),
-    BoundCatalogEntry("2lambda1_minus_vb", lb_2lambda1_minus_vb),
-    BoundCatalogEntry("degree_two_case", lb_degree_two_case),
-    BoundCatalogEntry("meg2", lb_jz_degree_form),
-    BoundCatalogEntry("L1", partial(lb_jz_degree_form, name="L1")),
-    BoundCatalogEntry("regular_sqrt", lb_regular_sqrt),
-    BoundCatalogEntry("meg1", lb_zagreb),
-    BoundCatalogEntry("liu_delta", lb_liu_delta),
-    BoundCatalogEntry("liu_2.3", lb_l2),
-    BoundCatalogEntry("cubic_moment", lb_cubic_moment),
-    BoundCatalogEntry("regular_kplus1", lb_regular_kplus1),
-    BoundCatalogEntry("path_universal", lb_path_universal),
-    BoundCatalogEntry("Ncon", lb_ncon),
-    BoundCatalogEntry("degree_vector", lb_degree_vector),
-    BoundCatalogEntry("Z1", lb_z1),
-    BoundCatalogEntry("Z2", lb_z2),
-    BoundCatalogEntry("one_step", lb_one_step),
-    BoundCatalogEntry("eta", lb_eta),
-    BoundCatalogEntry("mirsky_q", ub_mirsky_q),
-    BoundCatalogEntry("mirsky_q_degree", ub_mirsky_q_degreeonly),
-    BoundCatalogEntry("global_2n4", ub_global_2n4),
-    BoundCatalogEntry("liu_degree_avg", ub_liu_degree_avg),
-    BoundCatalogEntry("das_laplacian", ub_das_laplacian),
+    BoundCatalogEntry("mu1_minus_vb", "lower", "s_Q", lb_mu1_minus_vb),
+    BoundCatalogEntry("4m_over_n_minus_vb", "lower", "s_Q", lb_4m_over_n_minus_vb),
+    BoundCatalogEntry("2lambda1_minus_vb", "lower", "s_Q", lb_2lambda1_minus_vb),
+    BoundCatalogEntry("degree_two_case", "lower", "s_Q", lb_degree_two_case),
+    BoundCatalogEntry("meg2", "lower", "s_Q", lb_jz_degree_form),
+    BoundCatalogEntry("L1", "lower", "s_Q", lb_jz_degree_form),
+    BoundCatalogEntry("regular_sqrt", "lower", "s_Q", lb_regular_sqrt),
+    BoundCatalogEntry("meg1", "lower", "s_Q", lb_zagreb),
+    BoundCatalogEntry("liu_delta", "lower", "s_Q", lb_liu_delta),
+    BoundCatalogEntry("liu_2.3", "lower", "s_Q", lb_l2),
+    BoundCatalogEntry("cubic_moment", "lower", "s_Q", lb_cubic_moment),
+    BoundCatalogEntry("regular_kplus1", "lower", "s_Q", lb_regular_kplus1),
+    BoundCatalogEntry("path_universal", "lower", "s_Q", lb_path_universal),
+    BoundCatalogEntry("Ncon", "lower", "s_Q", lb_ncon),
+    BoundCatalogEntry("degree_vector", "lower", "s_Q", lb_degree_vector),
+    BoundCatalogEntry("Z1", "lower", "s_Q", lb_z1),
+    BoundCatalogEntry("Z2", "lower", "s_Q", lb_z2),
+    BoundCatalogEntry("one_step", "lower", "s_Q", lb_one_step),
+    BoundCatalogEntry("eta", "lower", "s_Q", lb_eta),
+    BoundCatalogEntry("mirsky_q", "upper", "s_Q", ub_mirsky_q),
+    BoundCatalogEntry("mirsky_q_degree", "upper", "s_Q", ub_mirsky_q_degreeonly),
+    BoundCatalogEntry("global_2n4", "upper", "s_Q", ub_global_2n4),
+    BoundCatalogEntry("liu_degree_avg", "upper", "s_Q", ub_liu_degree_avg),
+    BoundCatalogEntry("das_laplacian", "upper", "s_L", ub_das_laplacian),
 )
 
 CATALOG_BY_NAME = {entry.name: entry for entry in CATALOG}
@@ -629,40 +497,42 @@ CATALOG_BY_NAME = {entry.name: entry for entry in CATALOG}
 
 @dataclass(frozen=True)
 class CatalogOutcome:
-    """Result of one catalog entry on one graph; reason says why a bound
-    was not evaluated (failed hypotheses or oracle size limit)."""
+    """Result of one catalog entry on one graph: the value, or None with a
+    reason why the bound was not evaluated (failed hypotheses or oracle
+    size limit)."""
 
     name: str
-    result: Optional[BoundResult]
+    direction: str  # "lower" | "upper"
+    target: str  # "s_Q" | "s_L"
+    value: Optional[float]
     reason: str = ""
 
     @property
     def evaluated(self) -> bool:
-        return self.result is not None
+        return self.value is not None
 
 
-def evaluate_catalog(g, options: Optional[CatalogOptions] = None):
-    """Evaluate every selected catalog entry on g, in name order.
+def evaluate_catalog(g, names=None):
+    """Evaluate the named catalog entries (all when names is None) on g,
+    in name order.
 
-    g is a Graph or a GraphData; options default to the GraphData's own.
-    Inapplicable entries and oracle size-limit refusals become outcomes
-    with a reason; they never abort the remaining entries.
+    g is a Graph or a GraphData (whose options then apply).  Inapplicable
+    entries and oracle size-limit refusals become outcomes with a reason;
+    they never abort the remaining entries.
     """
-    data = _data(g, options)
-    opts = options or data.options
-    if opts.include is None:
-        names = sorted(CATALOG_BY_NAME)
+    data = g if isinstance(g, GraphData) else GraphData(g)
+    if names is None:
+        names = CATALOG_BY_NAME
     else:
-        unknown = [x for x in opts.include if x not in CATALOG_BY_NAME]
+        unknown = [x for x in names if x not in CATALOG_BY_NAME]
         if unknown:
             raise ValueError(f"unknown bound names: {', '.join(sorted(unknown))}")
-        names = sorted(opts.include)
     outcomes = []
-    for name in names:
+    for name in sorted(names):
+        entry = CATALOG_BY_NAME[name]
         try:
-            result = CATALOG_BY_NAME[name].evaluate(data)
+            value, reason = float(entry.evaluate(data)), ""
         except (BoundNotApplicable, OracleLimitError) as exc:
-            outcomes.append(CatalogOutcome(name=name, result=None, reason=str(exc)))
-        else:
-            outcomes.append(CatalogOutcome(name=name, result=result))
+            value, reason = None, str(exc)
+        outcomes.append(CatalogOutcome(name, entry.direction, entry.target, value, reason))
     return outcomes

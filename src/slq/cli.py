@@ -104,7 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _oracle_limits(args):
+def _oracle_limit(args):
+    """The common oracle limit from --oracle-limit or the environment, or
+    None to keep each oracle's own default."""
     limit = args.oracle_limit
     if limit is None:
         raw = os.environ.get(ENV_ORACLE_LIMIT)
@@ -115,15 +117,13 @@ def _oracle_limits(args):
                 raise GraphSpecError(
                     f"{ENV_ORACLE_LIMIT} must be an integer, got {raw!r}"
                 ) from None
-    if limit is None:
-        return ALPHA_LIMIT, VB_LIMIT, EB_LIMIT
-    if limit < 1:
+    if limit is not None and limit < 1:
         raise GraphSpecError("oracle limit must be at least 1")
-    return limit, limit, limit
+    return limit
 
 
 def _run_config(args, bounds=None) -> RunConfig:
-    alpha_limit, vb_limit, eb_limit = _oracle_limits(args)
+    oracle_limit = _oracle_limit(args)
     if args.precision < 0:
         raise GraphSpecError("--precision must be at least 0")
     try:
@@ -132,19 +132,13 @@ def _run_config(args, bounds=None) -> RunConfig:
         )
     except ValueError as exc:
         raise GraphSpecError(str(exc)) from None
-    catalog = CatalogOptions(
-        alpha_limit=alpha_limit,
-        vb_limit=vb_limit,
-        eb_limit=eb_limit,
-        search=search,
-    )
     return RunConfig(
         sources=tuple(getattr(args, "sources", ())) or (getattr(args, "source", ""),),
         bounds=bounds if bounds is not None else DEFAULT_BOUNDS,
         fmt=args.fmt,
         precision=args.precision,
         seed=args.seed,
-        catalog=catalog,
+        catalog=CatalogOptions(oracle_limit=oracle_limit, search=search),
     )
 
 

@@ -38,12 +38,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.neighbors[u]
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
@@ -213,17 +207,18 @@ def generate_random_connected(n: int, m: int, seed: int) -> Graph:
         raise GraphError(f"edge count must satisfy {n - 1} <= m <= {max_m}")
     rng = SplitMix64(seed)
     tree = _prufer_tree_edges(n, rng)
-    tree_set = set(tree)
     extra = m - (n - 1)
     if extra:
-        pool = [
-            (i, j)
-            for i in range(n)
-            for j in range(i + 1, n)
-            if (i, j) not in tree_set
-        ]
+        # the pool holds lexicographic pair ranks, (i, j) -> i (2n - i - 1)/2
+        # + j - i - 1, which index the pairs np.triu_indices(n, 1) lists
+        i, j = np.array(tree, dtype=np.int64).T
+        in_tree = np.zeros(max_m, dtype=bool)
+        in_tree[i * (2 * n - i - 1) // 2 + j - i - 1] = True
+        pool = np.flatnonzero(~in_tree)
         rng.shuffle_prefix(pool, extra)
-        tree.extend(pool[:extra])
+        rows, cols = np.triu_indices(n, 1)
+        chosen = pool[:extra]
+        tree.extend(zip(rows[chosen].tolist(), cols[chosen].tolist()))
     return build_graph(n, tree)
 
 
@@ -246,10 +241,10 @@ class DegreeProfile:
 def degree_profile(g: Graph) -> DegreeProfile:
     """Degrees, extremes, average 2m/n, first Zagreb index, and d2 = A d."""
     deg = np.asarray(g.degrees, dtype=np.int64)
+    u, v = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2).T
     d2 = np.zeros(g.n, dtype=np.int64)
-    for u, v in g.edges:
-        d2[u] += deg[v]
-        d2[v] += deg[u]
+    np.add.at(d2, v, deg[u])
+    np.add.at(d2, u, deg[v])
     return DegreeProfile(
         degrees=deg,
         delta=int(deg.min()),

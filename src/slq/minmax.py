@@ -115,8 +115,6 @@ class SearchConfig:
     iterations: int = 10
     step: float = 0.1
     step_mode: str = "constant"
-    gradient_mode: str = "analytic"
-    fd_step: float = 1e-6
 
     def __post_init__(self):
         if self.iterations < 1:
@@ -125,10 +123,6 @@ class SearchConfig:
             raise ValueError("step must be positive")
         if self.step_mode not in ("constant", "decreasing"):
             raise ValueError("step_mode must be 'constant' or 'decreasing'")
-        if self.gradient_mode not in ("analytic", "numerical"):
-            raise ValueError("gradient_mode must be 'analytic' or 'numerical'")
-        if not self.fd_step > 0.0:
-            raise ValueError("fd_step must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,12 +153,6 @@ def gradient_search(w, config: Optional[SearchConfig] = None) -> SearchTrace:
     """
     w = _as_matrix(w)
     cfg = config or SearchConfig()
-
-    def gradient(x):
-        if cfg.gradient_mode == "analytic":
-            return grad_f_squared(w, x)
-        return numerical_grad_f_squared(w, x, h=cfg.fd_step)
-
     n = w.shape[0]
     x = np.full(n, 1.0 / np.sqrt(n))
     initial = f_value(w, x)
@@ -172,7 +160,7 @@ def gradient_search(w, config: Optional[SearchConfig] = None) -> SearchTrace:
     best_x = x.copy()
     best_iter = 0
 
-    g = gradient(x)
+    g = grad_f_squared(w, x)
     tang = g - (g @ x) * x
     perturbed = False
     if float(np.linalg.norm(tang)) <= STATIONARY_TOL * max(1.0, float(np.linalg.norm(g))):
@@ -184,7 +172,7 @@ def gradient_search(w, config: Optional[SearchConfig] = None) -> SearchTrace:
     values = []
     stagnated_at = None
     for k in range(1, cfg.iterations + 1):
-        g = gradient(x)
+        g = grad_f_squared(w, x)
         tang = g - (g @ x) * x
         tnorm = float(np.linalg.norm(tang))
         if tnorm <= STATIONARY_TOL * max(1.0, float(np.linalg.norm(g))):
@@ -244,10 +232,12 @@ def inverse_degree_value(g: Graph) -> float:
     if min(g.degrees) == 0:
         raise ValueError("inverse-degree bound needs a graph without isolated vertices")
     y = 1.0 / np.asarray(g.degrees, dtype=np.float64)
+    u, v = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2).T
     t = np.ones(g.n)
-    for u, v in g.edges:
-        t[u] += y[v]
-        t[v] += y[u]
+    # v endpoints first, then u: on canonically sorted edges this adds each
+    # vertex's terms in ascending neighbour order, as a loop over the edges does
+    np.add.at(t, v, y[u])
+    np.add.at(t, u, y[v])
     yy = float(y @ y)
     rad = yy * float(t @ t) - float(y @ t) ** 2
     return 2.0 * np.sqrt(max(rad, 0.0)) / yy

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -129,8 +129,8 @@ def resolve_bounds(selection) -> tuple:
 def build_row(label: str, g: Graph, columns, options: CatalogOptions,
               seed: Optional[int] = None) -> ExperimentRow:
     """Evaluate the selected bounds on one graph and flag violations."""
-    data = GraphData(g, replace(options, include=tuple(columns)))
-    by_name = {o.name: o for o in evaluate_catalog(data)}
+    data = GraphData(g, options)
+    by_name = {o.name: o for o in evaluate_catalog(data, columns)}
     outcomes = tuple(by_name[c] for c in columns)
     violations = []
     for outcome in outcomes:
@@ -188,7 +188,7 @@ def render_table(rows, columns, config: RunConfig) -> str:
     def cells(row: ExperimentRow, value_fmt) -> list:
         out = [row.label, str(row.n), str(row.m), str(row.Delta), str(row.delta), "ext"]
         for outcome in row.outcomes:
-            out.append(value_fmt % outcome.result.value if outcome.evaluated else "n/a")
+            out.append(value_fmt % outcome.value if outcome.evaluated else "n/a")
         out.append(value_fmt % row.s_q)
         out.append(_violation_cell(row))
         out.append("" if row.seed is None else str(row.seed))
@@ -219,6 +219,8 @@ def run_trace(spec: str, config: RunConfig, search: Optional[SearchConfig] = Non
     from .spectra import signless_laplacian_matrix
 
     label, g = parse_graph_spec(spec, default_seed=config.seed)
+    if g.n < 2:
+        raise GraphSpecError(f"trace needs at least 2 vertices, {label} has {g.n}")
     cfg = search or config.catalog.search
     trace = gradient_search(signless_laplacian_matrix(g), cfg)
     iters = list(range(1, len(trace.values) + 1))
@@ -283,6 +285,9 @@ def run_spectrum(spec: str, config: RunConfig, matrix: str = "signless") -> str:
 def run_invariants(spec: str, config: RunConfig) -> str:
     """Degree data plus the oracle invariants, honoring the size limits."""
     from .combinatorics import (
+        ALPHA_LIMIT,
+        EB_LIMIT,
+        VB_LIMIT,
         OracleLimitError,
         edge_bipartiteness,
         independence_number,
@@ -308,9 +313,9 @@ def run_invariants(spec: str, config: RunConfig) -> str:
         except OracleLimitError as exc:
             return f"n/a ({exc})"
 
-    pairs.append(("alpha", oracle(independence_number, opts.alpha_limit)))
-    pairs.append(("vertex_bipartiteness", oracle(vertex_bipartiteness, opts.vb_limit)))
-    pairs.append(("edge_bipartiteness", oracle(edge_bipartiteness, opts.eb_limit)))
+    pairs.append(("alpha", oracle(independence_number, opts.limit(ALPHA_LIMIT))))
+    pairs.append(("vertex_bipartiteness", oracle(vertex_bipartiteness, opts.limit(VB_LIMIT))))
+    pairs.append(("edge_bipartiteness", oracle(edge_bipartiteness, opts.limit(EB_LIMIT))))
     if config.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

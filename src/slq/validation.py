@@ -78,15 +78,14 @@ def classify(outcome, data: GraphData, exclude, tol: float = SANDWICH_TOL):
     so a spectrum is solved only for a target some evaluated entry has."""
     if not outcome.evaluated:
         return None
-    res = outcome.result
-    ref = data.s_q if res.target == "s_Q" else data.s_l
-    if res.direction == "lower":
-        bad = res.value > ref + tol
+    ref = data.s_q if outcome.target == "s_Q" else data.s_l
+    if outcome.direction == "lower":
+        bad = outcome.value > ref + tol
     else:
-        bad = res.value < ref - tol
+        bad = outcome.value < ref - tol
     if not bad:
         return None
-    return ref, exclude is not None and exclude(res.name, data)
+    return ref, exclude is not None and exclude(outcome.name, data)
 
 
 # ---------------------------------------------------------------------------
@@ -263,13 +262,12 @@ def check_sandwich(
             if verdict is None:
                 continue
             ref, excluded = verdict
-            res = outcome.result
             violation = CellViolation(
                 graph_label=label,
-                entry=res.name,
-                direction=res.direction,
-                target=res.target,
-                value=res.value,
+                entry=outcome.name,
+                direction=outcome.direction,
+                target=outcome.target,
+                value=outcome.value,
                 reference=ref,
             )
             (rep.logged if excluded else rep.failures).append(violation)
@@ -292,14 +290,10 @@ def check_equality_fixtures(
         if abs(got - want) > tol:
             rep.fixture_failures.append(f"{label}: got {got!r}, expected {want!r}")
 
-    def s_q(g):
-        q = eigenvalues(signless_laplacian_matrix(g)).values
-        return float(q[0] - q[-1])
-
     for n in range(2, 31):
         expect(
             f"s_Q(path:{n})",
-            s_q(generate_named("path", n)),
+            GraphData(generate_named("path", n)).s_q,
             2.0 + 2.0 * np.cos(np.pi / n),
         )
     for label, g in (
@@ -308,41 +302,33 @@ def check_equality_fixtures(
         ("cycle:6", generate_named("cycle", 6)),
         ("cycle:8", generate_named("cycle", 8)),
     ):
-        expect(f"s_Q({label})", s_q(g), 4.0)
+        expect(f"s_Q({label})", GraphData(g).s_q, 4.0)
     for n in range(5, 13):
-        g = generate_named("kn1uk1", n)
-        expect(f"s_Q(kn1uk1:{n})", s_q(g), 2.0 * n - 4.0)
-        expect(f"global_2n4(kn1uk1:{n})", bounds.ub_global_2n4(g).value, 2.0 * n - 4.0)
+        d = GraphData(generate_named("kn1uk1", n))
+        expect(f"s_Q(kn1uk1:{n})", d.s_q, 2.0 * n - 4.0)
+        expect(f"global_2n4(kn1uk1:{n})", bounds.ub_global_2n4(d), 2.0 * n - 4.0)
     for k in range(1, 9):
-        g = generate_named("complete_bipartite", (k, k))
-        expect(f"mirsky_q(kbip:{k},{k})", bounds.ub_mirsky_q(g).value, 2.0 * k)
-        expect(f"s_Q(kbip:{k},{k})", s_q(g), 2.0 * k)
+        d = GraphData(generate_named("complete_bipartite", (k, k)))
+        expect(f"mirsky_q(kbip:{k},{k})", bounds.ub_mirsky_q(d), 2.0 * k)
+        expect(f"s_Q(kbip:{k},{k})", d.s_q, 2.0 * k)
     for i in range(20):
         n = 4 + SplitMix64(990000 + i).below(13)
-        g = random_connected_bipartite(n, 990100 + i)
+        d = GraphData(random_connected_bipartite(n, 990100 + i))
         expect(
             f"mu1_minus_vb(bipartite n={n} seed={990100 + i})",
-            bounds.lb_mu1_minus_vb(g).value,
-            s_q(g),
+            bounds.lb_mu1_minus_vb(d),
+            d.s_q,
         )
     for k in range(1, 9):
-        g = generate_named("complete", k + 1)
-        expect(f"cubic_moment(complete:{k + 1})", bounds.lb_cubic_moment(g).value, k + 1.0)
-        expect(f"s_Q(complete:{k + 1})", s_q(g), k + 1.0)
+        d = GraphData(generate_named("complete", k + 1))
+        expect(f"cubic_moment(complete:{k + 1})", bounds.lb_cubic_moment(d), k + 1.0)
+        expect(f"s_Q(complete:{k + 1})", d.s_q, k + 1.0)
     for n in range(2, 16):
-        g = generate_named("path", n)
-        expect(
-            f"path_universal(path:{n})",
-            bounds.lb_path_universal(g).value,
-            s_q(g),
-        )
+        d = GraphData(generate_named("path", n))
+        expect(f"path_universal(path:{n})", bounds.lb_path_universal(d), d.s_q)
     for n in range(3, 16, 2):
-        g = generate_named("cycle", n)
-        expect(
-            f"path_universal(cycle:{n})",
-            bounds.lb_path_universal(g).value,
-            s_q(g),
-        )
+        d = GraphData(generate_named("cycle", n))
+        expect(f"path_universal(cycle:{n})", bounds.lb_path_universal(d), d.s_q)
     return rep
 
 
@@ -399,20 +385,19 @@ def check_gradients(
         sample = small_connected_sample(count=50, seed=52001)
     rng = SplitMix64(530001)
     for label, g in sample:
-        q = signless_laplacian_matrix(g)
+        data = GraphData(g)
+        q = data.q_matrix
         x = random_unit_vector(g.n, rng)
         ana = grad_f_squared(q, x)
         num = numerical_grad_f_squared(q, x)
         scale = max(1.0, float(np.linalg.norm(ana)))
         if float(np.linalg.norm(ana - num)) / scale > 1e-5:
             rep.gradient_failures.append(f"{label}: analytic vs numerical gradient")
-        qv = eigenvalues(q).values
-        s_q = float(qv[0] - qv[-1])
         trace = gradient_search(q)
         worst = max((trace.initial_value,) + trace.values)
-        if worst > s_q + tol:
+        if worst > data.s_q + tol:
             rep.gradient_failures.append(
-                f"{label}: search trace value {worst:.8f} exceeds s_Q = {s_q:.8f}"
+                f"{label}: search trace value {worst:.8f} exceeds s_Q = {data.s_q:.8f}"
             )
         if abs(f_value(q, trace.best_vector) - trace.best_value) > 1e-8:
             rep.gradient_failures.append(f"{label}: best_vector inconsistent with best_value")

@@ -4,7 +4,7 @@ and the acceptance-criteria summary printed after the test session."""
 import pytest
 from hypothesis import HealthCheck, settings
 
-from slq import validation
+from slq import GraphData, evaluate_catalog, validation
 
 settings.register_profile(
     "slq",
@@ -31,6 +31,14 @@ def sandwich_raw(corpus):
     """One full catalog-vs-spread pass with no exclusions: every violation
     lands in .failures so tests can classify it their own way."""
     return validation.check_sandwich(corpus, exclude=None)
+
+
+def bound(name, g, options=None):
+    """Value of one catalog entry on g, evaluated through the catalog; the
+    entry must apply to g."""
+    (outcome,) = evaluate_catalog(GraphData(g, options), (name,))
+    assert outcome.evaluated, f"{name}: {outcome.reason}"
+    return outcome.value
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import record_criterion
+from conftest import bound, record_criterion
 
 from slq import (
     GraphData,
@@ -39,7 +39,6 @@ from slq import (
     numerical_grad_f_squared,
     signless_laplacian_matrix,
 )
-from slq.bounds import lb_cubic_moment, lb_mu1_minus_vb, ub_mirsky_q
 from slq.combinatorics import (
     edge_bipartiteness,
     independence_number,
@@ -119,21 +118,21 @@ def test_criterion_2_equality_fixtures():
         expect(f"s_Q(kn1uk1:{n})", s_q_of(generate_named("kn1uk1", n)), 2.0 * n - 4.0)
     for k in range(1, 9):
         g = generate_named("complete_bipartite", (k, k))
-        expect(f"ub_mirsky_q(kbip:{k},{k})", ub_mirsky_q(g).value, 2.0 * k)
+        expect(f"ub_mirsky_q(kbip:{k},{k})", bound("mirsky_q", g), 2.0 * k)
         expect(f"s_Q(kbip:{k},{k})", s_q_of(g), 2.0 * k)
     for i in range(20):
         n = 4 + (990000 + i) % 13
         g = random_connected_bipartite(n, 990100 + i)
         expect(f"lb_mu1_minus_vb(bipartite seed={990100 + i})",
-               lb_mu1_minus_vb(g).value, s_q_of(g))
+               bound("mu1_minus_vb", g), s_q_of(g))
     for k in range(1, 9):
         g = generate_named("complete", k + 1)
-        expect(f"lb_cubic_moment(complete:{k + 1})", lb_cubic_moment(g).value, k + 1.0)
+        expect(f"lb_cubic_moment(complete:{k + 1})", bound("cubic_moment", g), k + 1.0)
         expect(f"s_Q(complete:{k + 1})", s_q_of(g), k + 1.0)
     for r in range(1, 7):
         for s in range(r, 7):
             g = generate_named("complete_bipartite", (r, s))
-            got = lb_cubic_moment(g).value
+            got = bound("cubic_moment", g)
             # d is a Q-eigenvector for r+s, so the ratio is r+s; Y is the
             # smaller eigenvalue of [[s, 1], [1, r]]; the bound is their gap
             expect(f"lb_cubic_moment(kbip:{r},{s})", got,

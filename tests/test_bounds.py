@@ -8,6 +8,7 @@ away.
 
 import numpy as np
 import pytest
+from conftest import bound
 from hypothesis import example, given, strategies as st
 
 from slq import (
@@ -30,21 +31,7 @@ from slq import (
     signless_laplacian_matrix,
     spread_report,
 )
-from slq.bounds import (
-    lb_cubic_moment,
-    lb_degree_two_case,
-    lb_eta,
-    lb_jz_degree_form,
-    lb_liu_delta,
-    lb_mu1_minus_vb,
-    lb_regular_kplus1,
-    lb_regular_sqrt,
-    ub_das_laplacian,
-    ub_global_2n4,
-    ub_liu_degree_avg,
-    ub_mirsky_q,
-    ub_mirsky_q_degreeonly,
-)
+from slq.bounds import CATALOG_BY_NAME, lb_mu1_minus_vb, lb_regular_sqrt, ub_global_2n4
 
 UNSOUND_PRINTED_FORMS = {"meg2", "L1", "regular_sqrt"}
 
@@ -139,64 +126,60 @@ class TestDegreeOnlyClosedForms:
 class TestLowerBoundFixtures:
     def test_star3_catalog_values(self):
         g = generate_named("star", 3)
-        assert lb_mu1_minus_vb(g).value == pytest.approx(4.0, abs=1e-9)
-        assert lb_degree_two_case(g).value == pytest.approx(2.0 * np.sqrt(3.0), abs=1e-12)
-        assert lb_jz_degree_form(g).value == pytest.approx(4.0, abs=1e-12)
-        assert lb_liu_delta(g).value == pytest.approx(3.0, abs=1e-12)
-        assert lb_cubic_moment(g).value == pytest.approx(2.0 + np.sqrt(2.0), abs=1e-12)
+        assert bound("mu1_minus_vb", g) == pytest.approx(4.0, abs=1e-9)
+        assert bound("degree_two_case", g) == pytest.approx(2.0 * np.sqrt(3.0), abs=1e-12)
+        assert bound("meg2", g) == pytest.approx(4.0, abs=1e-12)
+        assert bound("liu_delta", g) == pytest.approx(3.0, abs=1e-12)
+        assert bound("cubic_moment", g) == pytest.approx(2.0 + np.sqrt(2.0), abs=1e-12)
 
     def test_degree_two_case_picks_the_right_branch(self):
         # large gap: the quadratic branch dominates; small gap: 2 sqrt(Delta)
         wide = build_graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])  # star, gap 3
-        assert lb_degree_two_case(wide).value == pytest.approx(
+        assert bound("degree_two_case", wide) == pytest.approx(
             np.sqrt(9.0 + 8.0 + 2.0), abs=1e-12
         )
         tight = generate_named("path", 4)  # gap 1: 2 sqrt(Delta) dominates sqrt(7)
-        assert lb_degree_two_case(tight).value == pytest.approx(
+        assert bound("degree_two_case", tight) == pytest.approx(
             2.0 * np.sqrt(2.0), abs=1e-12
         )
 
     def test_regular_forms(self):
         c5 = generate_named("cycle", 5)
-        assert lb_regular_sqrt(c5).value == pytest.approx(2.0 * np.sqrt(3.0), abs=1e-12)
-        assert lb_regular_kplus1(c5).value == pytest.approx(3.0, abs=1e-12)
+        assert bound("regular_sqrt", c5) == pytest.approx(2.0 * np.sqrt(3.0), abs=1e-12)
+        assert bound("regular_kplus1", c5) == pytest.approx(3.0, abs=1e-12)
         k4 = generate_named("complete", 4)
-        assert lb_regular_sqrt(k4).value == pytest.approx(4.0, abs=1e-12)
-        assert lb_regular_kplus1(k4).value == pytest.approx(4.0, abs=1e-12)
+        assert bound("regular_sqrt", k4) == pytest.approx(4.0, abs=1e-12)
+        assert bound("regular_kplus1", k4) == pytest.approx(4.0, abs=1e-12)
         assert spread_report(k4).s_q == pytest.approx(4.0, abs=1e-9)
 
     def test_regular_sqrt_overshoots_on_triangle(self):
         # frozen overshoot of the printed form: 2 sqrt(k+1) on K_3 exceeds
         # s_Q(K_3) = 3; validation excludes this entry on regular graphs
         k3 = generate_named("complete", 3)
-        assert lb_regular_sqrt(k3).value > spread_report(k3).s_q + 0.4
+        assert bound("regular_sqrt", k3) > spread_report(k3).s_q + 0.4
 
     def test_degree_pair_form_overshoots_on_path3(self):
         g = generate_named("path", 3)
-        assert lb_jz_degree_form(g).value == pytest.approx(np.sqrt(11.0), abs=1e-12)
-        assert lb_jz_degree_form(g).value > spread_report(g).s_q + 0.3
+        assert bound("meg2", g) == pytest.approx(np.sqrt(11.0), abs=1e-12)
+        assert bound("meg2", g) > spread_report(g).s_q + 0.3
 
     def test_cubic_moment_complete(self):
         for k in range(1, 7):
             g = generate_named("complete", k + 1)
-            assert lb_cubic_moment(g).value == pytest.approx(k + 1.0, abs=1e-9)
+            assert bound("cubic_moment", g) == pytest.approx(k + 1.0, abs=1e-9)
 
     def test_cubic_moment_complete_bipartite(self):
         for r, s in ((1, 1), (2, 2), (1, 3), (2, 5), (4, 6)):
             g = generate_named("complete_bipartite", (r, s))
             want = (r + s) / 2.0 + np.sqrt(((s - r) / 2.0) ** 2 + 1.0)
-            assert lb_cubic_moment(g).value == pytest.approx(want, abs=1e-9)
+            assert bound("cubic_moment", g) == pytest.approx(want, abs=1e-9)
 
-    def test_liu_delta_is_strict(self):
-        res = lb_liu_delta(generate_named("path", 4))
-        assert res.strict
-        assert res.value == pytest.approx(2.0)
-        assert not lb_jz_degree_form(generate_named("path", 4)).strict
+    def test_liu_delta_value(self):
+        assert bound("liu_delta", generate_named("path", 4)) == pytest.approx(2.0)
 
     def test_eta_bounded_by_spread(self):
         g = generate_random_connected(9, 16, seed=11)
-        res = lb_eta(g)
-        assert res.value <= spread_report(g).s_q + 1e-9
+        assert bound("eta", g) <= spread_report(g).s_q + 1e-9
 
 
 class TestVectorBoundDualRoutes:
@@ -212,10 +195,10 @@ class TestVectorBoundDualRoutes:
             "Z1": 1.0 / d,
             "Z2": d**-3.0,
         }
-        by_name = {o.name: o for o in evaluate_catalog(g, CatalogOptions(include=tuple(routes)))}
+        by_name = {o.name: o for o in evaluate_catalog(g, routes)}
         for name, vec in routes.items():
             assert by_name[name].evaluated, by_name[name].reason
-            got = by_name[name].result.value
+            got = by_name[name].value
             want = bound_from_vector(q, vec)
             scale = max(got, want)
             if scale > 1e-5:
@@ -227,38 +210,38 @@ class TestVectorBoundDualRoutes:
 class TestUpperBoundFixtures:
     def test_mirsky_q_balanced_bipartite_tight(self):
         g = generate_named("complete_bipartite", (2, 2))
-        assert ub_mirsky_q(g).value == pytest.approx(4.0, abs=1e-12)
+        assert bound("mirsky_q", g) == pytest.approx(4.0, abs=1e-12)
         assert spread_report(g).s_q == pytest.approx(4.0, abs=1e-9)
 
     def test_mirsky_q_degree_majorizes(self):
         p4 = generate_named("path", 4)
-        assert ub_mirsky_q_degreeonly(p4).value > ub_mirsky_q(p4).value
+        assert bound("mirsky_q_degree", p4) > bound("mirsky_q", p4)
 
     @given(connected_specs)
     def test_mirsky_q_degree_dominates_everywhere(self, spec):
         n, m, seed = spec
         g = generate_random_connected(n, m, seed)
-        assert ub_mirsky_q_degreeonly(g).value >= ub_mirsky_q(g).value - 1e-9
+        assert bound("mirsky_q_degree", g) >= bound("mirsky_q", g) - 1e-9
 
     def test_global_bound_equality_on_clique_plus_isolated(self):
         for n in (5, 7, 9):
             g = generate_named("kn1uk1", n)
-            assert ub_global_2n4(g).value == pytest.approx(2.0 * n - 4.0)
+            assert bound("global_2n4", g) == pytest.approx(2.0 * n - 4.0)
             assert spread_report(g).s_q == pytest.approx(2.0 * n - 4.0, abs=1e-9)
 
     def test_liu_degree_avg_tight_on_path3_and_star(self):
-        assert ub_liu_degree_avg(generate_named("path", 3)).value == pytest.approx(3.0)
-        assert ub_liu_degree_avg(generate_named("star", 3)).value == pytest.approx(4.0)
+        assert bound("liu_degree_avg", generate_named("path", 3)) == pytest.approx(3.0)
+        assert bound("liu_degree_avg", generate_named("star", 3)) == pytest.approx(4.0)
 
     def test_das_targets_laplacian_spread(self):
         k5 = generate_named("complete", 5)
-        res = ub_das_laplacian(k5)
-        assert res.target == "s_L"
-        assert res.value == pytest.approx(0.0, abs=1e-12)
+        assert CATALOG_BY_NAME["das_laplacian"].target == "s_L"
+        value = bound("das_laplacian", k5)
+        assert value == pytest.approx(0.0, abs=1e-12)
         rep = spread_report(k5)
         assert rep.s_l == pytest.approx(0.0, abs=1e-9)
         # the value sits far below s_Q; only the s_L target makes it sound
-        assert res.value < rep.s_q - 1.0
+        assert value < rep.s_q - 1.0
 
     @given(connected_specs)
     def test_das_dominates_laplacian_spread(self, spec):
@@ -267,7 +250,7 @@ class TestUpperBoundFixtures:
             n, m = 5, max(m, 4)
             m = min(m, n * (n - 1) // 2)
         g = generate_random_connected(n, m, seed)
-        assert ub_das_laplacian(g).value >= spread_report(g).s_l - 1e-9
+        assert bound("das_laplacian", g) >= spread_report(g).s_l - 1e-9
 
 
 class TestCatalogSandwich:
@@ -276,28 +259,27 @@ class TestCatalogSandwich:
         n, m, seed = spec
         g = generate_random_connected(n, m, seed)
         rep = spread_report(g)
-        targets = {"s_Q": rep.s_q, "s_L": rep.s_l, "s": rep.s}
+        targets = {"s_Q": rep.s_q, "s_L": rep.s_l}
         for outcome in evaluate_catalog(g):
             if not outcome.evaluated or outcome.name in UNSOUND_PRINTED_FORMS:
                 continue
-            res = outcome.result
-            ref = targets[res.target]
-            if res.direction == "lower":
-                assert res.value <= ref + 1e-6, (outcome.name, res.value, ref)
+            ref = targets[outcome.target]
+            if outcome.direction == "lower":
+                assert outcome.value <= ref + 1e-6, (outcome.name, outcome.value, ref)
             else:
-                assert res.value >= ref - 1e-6, (outcome.name, res.value, ref)
+                assert outcome.value >= ref - 1e-6, (outcome.name, outcome.value, ref)
 
 
 class TestApplicabilityAndOptions:
     def test_hypothesis_failures_raise_with_reason(self):
         p3 = generate_named("path", 3)
         with pytest.raises(BoundNotApplicable, match="regular"):
-            lb_regular_sqrt(p3)
+            lb_regular_sqrt(GraphData(p3))
         with pytest.raises(BoundNotApplicable, match="5 vertices"):
-            ub_global_2n4(p3)
+            ub_global_2n4(GraphData(p3))
         disconnected = generate_named("kn1uk1", 5)
         with pytest.raises(BoundNotApplicable, match="connected"):
-            lb_mu1_minus_vb(disconnected)
+            lb_mu1_minus_vb(GraphData(disconnected))
 
     def test_catalog_outcome_partition_star(self):
         outcomes = evaluate_catalog(generate_named("star", 3))
@@ -317,14 +299,14 @@ class TestApplicabilityAndOptions:
 
     def test_include_subset_and_unknown_names(self):
         g = generate_named("cycle", 4)
-        outcomes = evaluate_catalog(g, CatalogOptions(include=("meg2", "eta")))
+        outcomes = evaluate_catalog(g, ("meg2", "eta"))
         assert [o.name for o in outcomes] == ["eta", "meg2"]
         with pytest.raises(ValueError, match="unknown bound names: nope"):
-            evaluate_catalog(g, CatalogOptions(include=("meg2", "nope")))
+            evaluate_catalog(g, ("meg2", "nope"))
 
     def test_oracle_limit_isolated_per_entry(self):
         g = generate_random_connected(6, 9, seed=4)
-        outcomes = evaluate_catalog(g, CatalogOptions(vb_limit=3))
+        outcomes = evaluate_catalog(GraphData(g, CatalogOptions(oracle_limit=3)))
         by_name = {o.name: o for o in outcomes}
         for name in ("mu1_minus_vb", "4m_over_n_minus_vb", "2lambda1_minus_vb"):
             assert not by_name[name].evaluated
@@ -336,12 +318,6 @@ class TestApplicabilityAndOptions:
         d = GraphData(generate_named("cycle", 6))
         assert d.q_values is d.q_values
         assert d.profile is d.profile
-
-    def test_result_metadata(self):
-        res = lb_mu1_minus_vb(generate_named("path", 4))
-        assert res.direction == "lower" and res.target == "s_Q"
-        assert res.assumptions == frozenset({"connected"})
-        assert res.inputs_used == ("mu1", "vb")
 
 
 class TestL1L2Comparison:

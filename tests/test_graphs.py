@@ -1,5 +1,7 @@
 """Graph construction, named families, seeded generation, edge-list I/O."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -18,7 +20,9 @@ from slq import (
     read_edge_list,
     write_edge_list,
 )
+from slq.graphs import _prufer_tree_edges
 from slq.rng import SplitMix64
+from slq.validation import small_connected_sample
 
 # strategy: (n, m, seed) triples that always admit a connected graph
 connected_specs = st.integers(2, 12).flatmap(
@@ -118,6 +122,25 @@ class TestNamedFamilies:
             generate_regular_circulant(5, 3)
 
 
+def reference_random_connected(n, m, seed):
+    """The list-based sampler, kept as the reference: every candidate pair
+    as a tuple in lexicographic order, shuffled in place."""
+    rng = SplitMix64(seed)
+    tree = _prufer_tree_edges(n, rng)
+    tree_set = set(tree)
+    extra = m - (n - 1)
+    if extra:
+        pool = [
+            (i, j)
+            for i in range(n)
+            for j in range(i + 1, n)
+            if (i, j) not in tree_set
+        ]
+        rng.shuffle_prefix(pool, extra)
+        tree.extend(pool[:extra])
+    return build_graph(n, tree)
+
+
 class TestRandomConnected:
     @given(connected_specs)
     def test_connected_with_exact_edge_count(self, spec):
@@ -150,6 +173,19 @@ class TestRandomConnected:
         # pins the PRNG and sampling procedure: any change shows up here
         g = generate_random_connected(6, 7, seed=42)
         assert g.edges == ((0, 1), (0, 2), (0, 4), (0, 5), (1, 2), (1, 3), (3, 4))
+
+    def test_matches_list_reference(self, corpus):
+        specs = [(200, 199, 1), (200, 1000, 2), (317, 5000, 3), (400, 79000, 4)]
+        for label, _ in tuple(corpus) + tuple(small_connected_sample()):
+            match = re.fullmatch(r"rand:n=(\d+),m=(\d+),seed=(\d+)", label)
+            if match:
+                specs.append(tuple(int(x) for x in match.groups()))
+        assert len(specs) == 4 + 420 + 200
+        for n, m, seed in specs:
+            assert (
+                generate_random_connected(n, m, seed).edges
+                == reference_random_connected(n, m, seed).edges
+            ), (n, m, seed)
 
 
 class TestSplitMix64:

@@ -7,6 +7,7 @@ fine grid recovers it to grid resolution.
 
 import numpy as np
 import pytest
+from conftest import bound
 from hypothesis import given, strategies as st
 
 from slq import (
@@ -25,7 +26,6 @@ from slq import (
     spread_report,
     unit_vector,
 )
-from slq.bounds import lb_one_step
 from slq.minmax import inverse_degree_value
 from slq.rng import SplitMix64
 
@@ -145,6 +145,25 @@ class TestBoundFromVector:
             if scale > 1e-5:
                 assert abs(got - want) <= 1e-10 * max(1.0, scale)
 
+    def test_inverse_degree_matches_edge_loop_exactly(self, corpus):
+        # the loop form adds each vertex's terms in ascending neighbour order
+        def loop_form(g):
+            y = 1.0 / np.asarray(g.degrees, dtype=np.float64)
+            t = np.ones(g.n)
+            for u, v in g.edges:
+                t[u] += y[v]
+                t[v] += y[u]
+            yy = float(y @ y)
+            rad = yy * float(t @ t) - float(y @ t) ** 2
+            return 2.0 * np.sqrt(max(rad, 0.0)) / yy
+
+        checked = 0
+        for label, g in corpus:
+            if min(g.degrees) > 0:
+                assert inverse_degree_value(g) == loop_form(g), label
+                checked += 1
+        assert checked == 499
+
     def test_inverse_degree_rejects_isolated_vertices(self):
         with pytest.raises(ValueError, match="isolated"):
             inverse_degree_value(generate_named("kn1uk1", 5))
@@ -231,12 +250,6 @@ class TestGradientSearch:
             assert max(tr.values) <= s + 1e-9
             assert tr.best_value <= s + 1e-9
 
-    def test_numerical_gradient_mode_close_to_analytic(self):
-        q = signless_laplacian_matrix(generate_random_connected(8, 14, seed=21))
-        a = gradient_search(q, SearchConfig(gradient_mode="analytic"))
-        b = gradient_search(q, SearchConfig(gradient_mode="numerical"))
-        assert a.best_value == pytest.approx(b.best_value, rel=1e-4)
-
     def test_search_improves_on_start_for_star(self):
         g = generate_named("star", 3)
         tr = minmax_eta(g)
@@ -251,10 +264,6 @@ class TestGradientSearch:
             SearchConfig(step=0.0)
         with pytest.raises(ValueError, match="step_mode"):
             SearchConfig(step_mode="adaptive")
-        with pytest.raises(ValueError, match="gradient_mode"):
-            SearchConfig(gradient_mode="exact")
-        with pytest.raises(ValueError, match="fd_step"):
-            SearchConfig(gradient_mode="numerical", fd_step=-1.0)
 
 
 class TestOneStep:
@@ -262,9 +271,7 @@ class TestOneStep:
         g = generate_named("cycle", 6)
         value = one_step_analytic_bound(signless_laplacian_matrix(g))
         assert value == pytest.approx(0.0, abs=1e-9)
-        res = lb_one_step(g)
-        assert res.name == "one_step"
-        assert res.value == value
+        assert bound("one_step", g) == value
 
     def test_irregular_graph_moves_and_stays_valid(self):
         g = generate_named("star", 4)

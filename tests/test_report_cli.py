@@ -248,10 +248,12 @@ class TestRunTraceSpectrumInvariants:
         assert "edge_bipartiteness = 1" in out
 
     def test_invariants_respects_limits(self):
-        config = RunConfig(sources=(), catalog=CatalogOptions(vb_limit=3))
+        config = RunConfig(sources=(), catalog=CatalogOptions(oracle_limit=3))
         out = run_invariants("cycle:5", config)
+        assert "alpha = n/a (independence number: n=5 exceeds oracle limit 3)" in out
         assert "vertex_bipartiteness = n/a (vertex bipartiteness: n=5 exceeds oracle limit 3)" in out
-        assert "alpha = 2" in out
+        assert "edge_bipartiteness = n/a (max cut: n=5 exceeds oracle limit 3)" in out
+        assert "n = 5" in out
 
     def test_invariants_csv(self):
         out = run_invariants("path:4", RunConfig(sources=(), fmt="csv"))
@@ -364,6 +366,13 @@ class TestCliMain:
         expected = "meg2[logged];L1[logged]" if bounds else "meg2[logged]"
         assert row["violations"] == expected
 
+    @pytest.mark.parametrize("spec", ["path:1", "complete:1"])
+    def test_single_vertex_trace_exits_2(self, capsys, spec):
+        assert main(["trace", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: trace needs at least 2 vertices, {spec} has 1\n"
+
     def test_cli_byte_determinism(self, capsys):
         args = ["table", "rand:n=10,m=20,seed=7", "--bounds", "all", "--format", "csv"]
         assert main(args) == 0
@@ -396,8 +405,7 @@ class TestLazySpectra:
     def test_vb_entries_refuse_before_any_spectrum(self, eig_calls):
         g = generate_random_connected(25, 40, seed=5)
         assert g.n > VB_LIMIT
-        include = ("mu1_minus_vb", "2lambda1_minus_vb")
-        outcomes = evaluate_catalog(g, CatalogOptions(include=include))
+        outcomes = evaluate_catalog(g, ("mu1_minus_vb", "2lambda1_minus_vb"))
         assert [o.evaluated for o in outcomes] == [False, False]
         assert all("oracle limit" in o.reason for o in outcomes)
         assert eig_calls == []

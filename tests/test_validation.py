@@ -181,7 +181,7 @@ class TestSandwich:
         # odd cycle: the bipartite fast path cannot answer vb, so the size
         # limit actually bites and the three vb entries become inapplicable
         mini = [("cycle:5", generate_named("cycle", 5))]
-        rep = check_sandwich(mini, options=CatalogOptions(vb_limit=3))
+        rep = check_sandwich(mini, options=CatalogOptions(oracle_limit=3))
         assert rep.failures == []
         assert rep.inapplicable_cells >= 3
 
