@@ -21,10 +21,8 @@ from .bounds import (
     mirsky_upper,
 )
 from .combinatorics import (
-    CombinatorialInvariants,
     OracleLimitError,
     check_density_condition,
-    combinatorial_invariants,
     edge_bipartiteness,
     independence_number,
     max_cut,
@@ -55,7 +53,6 @@ from .minmax import (
     f_value_quadratic,
     grad_f_squared,
     gradient_search,
-    minmax_eta,
     numerical_grad_f_squared,
     one_step_analytic_bound,
     unit_vector,

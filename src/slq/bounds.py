@@ -18,7 +18,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import minmax
-from .combinatorics import VB_LIMIT, OracleLimitError, vertex_bipartiteness
+from .combinatorics import OracleLimitError, vertex_bipartiteness
 from .graphs import Graph, degree_profile, is_connected, is_regular
 from .minmax import SearchConfig
 from .spectra import eigenvalues, laplacian_matrix, adjacency_matrix, signless_laplacian_matrix
@@ -100,10 +100,6 @@ class CatalogOptions:
     oracle_limit: Optional[int] = None  # caps every oracle; None = each its own default
     search: SearchConfig = field(default_factory=SearchConfig)
 
-    def limit(self, default: int) -> int:
-        """An oracle's size limit: oracle_limit when set, else the default."""
-        return default if self.oracle_limit is None else self.oracle_limit
-
 
 class GraphData:
     """Caches the spectra, degree data and oracle values one catalog run
@@ -161,19 +157,19 @@ class GraphData:
         return float(self.lambda_values[0])
 
     @cached_property
-    def _vb_value(self):
+    def _vb(self):
+        # the oracle's value, or the refusal it raised, so every vb entry
+        # shares one oracle call
         try:
-            return vertex_bipartiteness(self.graph, limit=self.options.limit(VB_LIMIT))
-        except OracleLimitError:
-            return None
+            return vertex_bipartiteness(self.graph, limit=self.options.oracle_limit)
+        except OracleLimitError as exc:
+            return exc
 
     @property
     def vb(self) -> int:
-        if self._vb_value is None:
-            raise OracleLimitError(
-                "vertex bipartiteness", self.graph.n, self.options.limit(VB_LIMIT)
-            )
-        return self._vb_value
+        if isinstance(self._vb, OracleLimitError):
+            raise self._vb
+        return self._vb
 
 
 def _require(cond: bool, reason: str):
@@ -277,15 +273,10 @@ def lb_cubic_moment(data: GraphData) -> float:
     p = data.profile
     deg = p.degrees
     ratio = float((deg**3).sum() + (deg * p.d2).sum()) / p.m1
-    y = None
-    for u, v in data.graph.edges:
-        for a, b in ((u, v), (v, u)):
-            if deg[b] == p.Delta:
-                cand = (p.Delta + deg[a]) / 2.0 - np.sqrt(
-                    ((p.Delta - deg[a]) / 2.0) ** 2 + 1.0
-                )
-                if y is None or cand < y:
-                    y = cand
+    u, v = np.asarray(data.graph.edges, dtype=np.intp).reshape(-1, 2).T
+    ends, tips = np.concatenate((u, v)), np.concatenate((v, u))
+    d_p = deg[ends[deg[tips] == p.Delta]]
+    y = ((p.Delta + d_p) / 2.0 - np.sqrt(((p.Delta - d_p) / 2.0) ** 2 + 1.0)).min()
     return abs(ratio - y)
 
 

@@ -42,18 +42,18 @@ def _add_common_flags(sub: argparse.ArgumentParser):
         f"(defaults: alpha {ALPHA_LIMIT}, vertex bipartiteness {VB_LIMIT}, "
         f"edge bipartiteness {EB_LIMIT}; env {ENV_ORACLE_LIMIT})",
     )
-    sub.add_argument("--iters", type=int, default=10, metavar="K",
-                     help="gradient-search iterations (default 10)")
-    sub.add_argument("--step", type=float, default=0.1, metavar="S",
-                     help="gradient-search step size (default 0.1)")
+    sub.add_argument("--iters", type=int, default=SearchConfig.iterations, metavar="K",
+                     help="gradient-search iterations (default %(default)s)")
+    sub.add_argument("--step", type=float, default=SearchConfig.step, metavar="S",
+                     help="gradient-search step size (default %(default)s)")
     sub.add_argument("--step-mode", choices=("constant", "decreasing"),
-                     default="constant", help="step schedule: s or s/sqrt(k)")
-    sub.add_argument("--format", choices=("csv", "text"), default="text",
-                     dest="fmt", help="output format (default text)")
+                     default=SearchConfig.step_mode, help="step schedule: s or s/sqrt(k)")
+    sub.add_argument("--format", choices=("csv", "text"), default=RunConfig.fmt,
+                     dest="fmt", help="output format (default %(default)s)")
     sub.add_argument("--seed", type=int, default=None, metavar="U64",
                      help="default seed for rand: specs without seed=")
-    sub.add_argument("--precision", type=int, default=2, metavar="D",
-                     help="decimals in text output (default 2)")
+    sub.add_argument("--precision", type=int, default=RunConfig.precision, metavar="D",
+                     help="decimals in text output (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:

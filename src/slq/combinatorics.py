@@ -3,7 +3,8 @@
 Everything here is exponential-time by design: these are ground-truth
 oracles for the spread bounds, not production solvers.  Each operation
 refuses inputs above its size limit by raising OracleLimitError so
-callers can degrade gracefully.
+callers can degrade gracefully.  ``limit=None`` means the oracle's own
+default (ALPHA_LIMIT, VB_LIMIT or EB_LIMIT).
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ def _adjacency_masks(g: Graph):
     return adj
 
 
-def independence_number(g: Graph, limit: int = ALPHA_LIMIT) -> int:
+def independence_number(g: Graph, limit: Optional[int] = None) -> int:
     """Maximum independent set size by branch and bound on bitmasks."""
+    limit = ALPHA_LIMIT if limit is None else limit
     if g.n > limit:
         raise OracleLimitError("independence number", g.n, limit)
     adj = _adjacency_masks(g)
@@ -74,7 +76,7 @@ def independence_number(g: Graph, limit: int = ALPHA_LIMIT) -> int:
     return best
 
 
-def vertex_cover_number(g: Graph, limit: int = ALPHA_LIMIT) -> int:
+def vertex_cover_number(g: Graph, limit: Optional[int] = None) -> int:
     """tau = n - alpha (complement of a maximum independent set)."""
     return g.n - independence_number(g, limit=limit)
 
@@ -101,7 +103,7 @@ def _bipartite_after_removal(adj, n: int, removed: int) -> bool:
     return True
 
 
-def vertex_bipartiteness(g: Graph, limit: int = VB_LIMIT) -> int:
+def vertex_bipartiteness(g: Graph, limit: Optional[int] = None) -> int:
     """Minimum number of vertex deletions leaving a bipartite graph.
 
     Exhaustive over deletion sets in order of increasing size; the first
@@ -109,6 +111,7 @@ def vertex_bipartiteness(g: Graph, limit: int = VB_LIMIT) -> int:
     """
     if is_bipartite(g)[0]:
         return 0
+    limit = VB_LIMIT if limit is None else limit
     if g.n > limit:
         raise OracleLimitError("vertex bipartiteness", g.n, limit)
     adj = _adjacency_masks(g)
@@ -123,8 +126,9 @@ def vertex_bipartiteness(g: Graph, limit: int = VB_LIMIT) -> int:
     return g.n - 2
 
 
-def max_cut(g: Graph, limit: int = EB_LIMIT) -> int:
+def max_cut(g: Graph, limit: Optional[int] = None) -> int:
     """Maximum cut size over all 2^(n-1) bipartitions (vertex n-1 pinned)."""
+    limit = EB_LIMIT if limit is None else limit
     if g.n > limit:
         raise OracleLimitError("max cut", g.n, limit)
     if g.m == 0:
@@ -144,7 +148,7 @@ def max_cut(g: Graph, limit: int = EB_LIMIT) -> int:
     return best
 
 
-def edge_bipartiteness(g: Graph, limit: int = EB_LIMIT) -> int:
+def edge_bipartiteness(g: Graph, limit: Optional[int] = None) -> int:
     """Minimum number of edge deletions leaving a bipartite graph: m - maxcut."""
     return g.m - max_cut(g, limit=limit)
 
@@ -159,7 +163,7 @@ class DensityConditionReport:
     alpha: int
 
 
-def check_density_condition(g: Graph, limit: int = ALPHA_LIMIT) -> DensityConditionReport:
+def check_density_condition(g: Graph, limit: Optional[int] = None) -> DensityConditionReport:
     """Test n*k*(k-1) <= 8m for k = n - alpha, plus the necessary
     condition 4(n-1) >= k(k-1) that follows from m <= n(n-1)/2."""
     alpha = independence_number(g, limit=limit)
@@ -169,39 +173,4 @@ def check_density_condition(g: Graph, limit: int = ALPHA_LIMIT) -> DensityCondit
         necessary_holds=4 * (g.n - 1) >= k * (k - 1),
         k=k,
         alpha=alpha,
-    )
-
-
-@dataclass(frozen=True)
-class CombinatorialInvariants:
-    """Brute-force invariants; fields are None when over the oracle limit."""
-
-    alpha: Optional[int]
-    tau: Optional[int]
-    vertex_bipartiteness: Optional[int]
-    edge_bipartiteness: Optional[int]
-
-
-def combinatorial_invariants(
-    g: Graph,
-    alpha_limit: int = ALPHA_LIMIT,
-    vb_limit: int = VB_LIMIT,
-    eb_limit: int = EB_LIMIT,
-) -> CombinatorialInvariants:
-    """All oracle invariants at once, None-filling past each size limit."""
-    try:
-        alpha = independence_number(g, limit=alpha_limit)
-        tau = g.n - alpha
-    except OracleLimitError:
-        alpha = tau = None
-    try:
-        vb = vertex_bipartiteness(g, limit=vb_limit)
-    except OracleLimitError:
-        vb = None
-    try:
-        eb = edge_bipartiteness(g, limit=eb_limit)
-    except OracleLimitError:
-        eb = None
-    return CombinatorialInvariants(
-        alpha=alpha, tau=tau, vertex_bipartiteness=vb, edge_bipartiteness=eb
     )

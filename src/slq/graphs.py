@@ -198,7 +198,7 @@ def generate_random_connected(n: int, m: int, seed: int) -> Graph:
     A uniform spanning tree is drawn from a Prufer sequence, then the
     remaining m-(n-1) edges are a uniform sample of the non-tree pairs via
     partial Fisher-Yates over the lexicographic pair list.  Deterministic
-    in (n, m, seed).
+    in (n, m, seed); memory is O(m), never O(n^2).
     """
     if n < 2:
         raise GraphError("need at least 2 vertices")
@@ -209,16 +209,29 @@ def generate_random_connected(n: int, m: int, seed: int) -> Graph:
     tree = _prufer_tree_edges(n, rng)
     extra = m - (n - 1)
     if extra:
-        # the pool holds lexicographic pair ranks, (i, j) -> i (2n - i - 1)/2
-        # + j - i - 1, which index the pairs np.triu_indices(n, 1) lists
+        # Fisher-Yates over positions 0..size-1 of the sorted non-tree pair
+        # ranks; no draw depends on the contents, so only swapped positions
+        # are stored
+        size = max_m - (n - 1)
+        moved = {}
+        picks = []
+        for k in range(extra):
+            j = k + rng.below(size - k)
+            picks.append(moved.get(j, j))
+            moved[j] = moved.get(k, k)
+        # a position becomes a lexicographic pair rank, (i, j) -> i (2n - i - 1)/2
+        # + j - i - 1, by skipping the tree ranks at or below it
         i, j = np.array(tree, dtype=np.int64).T
-        in_tree = np.zeros(max_m, dtype=bool)
-        in_tree[i * (2 * n - i - 1) // 2 + j - i - 1] = True
-        pool = np.flatnonzero(~in_tree)
-        rng.shuffle_prefix(pool, extra)
-        rows, cols = np.triu_indices(n, 1)
-        chosen = pool[:extra]
-        tree.extend(zip(rows[chosen].tolist(), cols[chosen].tolist()))
+        tree_ranks = np.sort(i * (2 * n - i - 1) // 2 + j - i - 1)
+        picks = np.array(picks, dtype=np.int64)
+        ranks = picks + np.searchsorted(tree_ranks - np.arange(n - 1), picks, side="right")
+        # invert the rank: the float root of the row-start quadratic, then an
+        # integer correction by one row either way
+        rows = ((2 * n - 1 - np.sqrt((2.0 * n - 1) ** 2 - 8.0 * ranks)) // 2).astype(np.int64)
+        rows += (rows + 1) * (2 * n - rows - 2) // 2 <= ranks
+        rows -= rows * (2 * n - rows - 1) // 2 > ranks
+        cols = ranks - rows * (2 * n - rows - 1) // 2 + rows + 1
+        tree.extend(zip(rows.tolist(), cols.tolist()))
     return build_graph(n, tree)
 
 

@@ -14,7 +14,6 @@ from typing import Optional
 import numpy as np
 
 from .graphs import Graph
-from .spectra import signless_laplacian_matrix
 
 UNIT_TOL = 1e-8
 # tangential gradient below this (relative) scale counts as stationary
@@ -201,12 +200,7 @@ def gradient_search(w, config: Optional[SearchConfig] = None) -> SearchTrace:
 
 
 # ---------------------------------------------------------------------------
-# graph-level wrappers
-
-
-def minmax_eta(g: Graph, config: Optional[SearchConfig] = None) -> SearchTrace:
-    """Gradient search on the signless Laplacian of g."""
-    return gradient_search(signless_laplacian_matrix(g), config)
+# particular start vectors and single steps
 
 
 def ncon_value(n: int, m: int, m1: int) -> float:
@@ -243,7 +237,7 @@ def inverse_degree_value(g: Graph) -> float:
     return 2.0 * np.sqrt(max(rad, 0.0)) / yy
 
 
-def one_step_analytic_bound(w, step: float = 0.1) -> float:
+def one_step_analytic_bound(w, step: float) -> float:
     """f after a single projected gradient step from the all-ones start point.
 
     Valid lower bound on s(W) by the minmax principle regardless of step

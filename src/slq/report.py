@@ -17,8 +17,22 @@ from typing import Optional
 import numpy as np
 
 from .bounds import CATALOG_BY_NAME, CatalogOptions, GraphData, evaluate_catalog
-from .graphs import Graph, GraphError, generate_named, generate_random_connected, read_edge_list
-from .minmax import SearchConfig, gradient_search
+from .combinatorics import (
+    OracleLimitError,
+    edge_bipartiteness,
+    independence_number,
+    vertex_bipartiteness,
+)
+from .graphs import (
+    Graph,
+    GraphError,
+    degree_profile,
+    generate_named,
+    generate_random_connected,
+    read_edge_list,
+)
+from .minmax import gradient_search
+from .spectra import adjacency_matrix, eigenvalues, laplacian_matrix, signless_laplacian_matrix
 from .validation import classify, printed_form_excluded
 
 # paper-style column order; any further selected bounds follow sorted by name
@@ -213,16 +227,14 @@ def render_table(rows, columns, config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_trace(spec: str, config: RunConfig, search: Optional[SearchConfig] = None) -> str:
-    """Gradient-search trace for one graph: iteration header row, value row,
-    then footer notes (start value, best, perturbation, stagnation)."""
-    from .spectra import signless_laplacian_matrix
-
+def run_trace(spec: str, config: RunConfig) -> str:
+    """Gradient-search trace for one graph under config.catalog.search:
+    iteration header row, value row, then footer notes (start value, best,
+    perturbation, stagnation)."""
     label, g = parse_graph_spec(spec, default_seed=config.seed)
     if g.n < 2:
         raise GraphSpecError(f"trace needs at least 2 vertices, {label} has {g.n}")
-    cfg = search or config.catalog.search
-    trace = gradient_search(signless_laplacian_matrix(g), cfg)
+    trace = gradient_search(signless_laplacian_matrix(g), config.catalog.search)
     iters = list(range(1, len(trace.values) + 1))
     notes = [
         f"graph = {label}",
@@ -256,13 +268,6 @@ def run_trace(spec: str, config: RunConfig, search: Optional[SearchConfig] = Non
 def run_spectrum(spec: str, config: RunConfig, matrix: str = "signless") -> str:
     """Eigenvalues of the chosen graph matrix, descending, 17 significant
     digits, one per line (CSV: index,value rows)."""
-    from .spectra import (
-        adjacency_matrix,
-        eigenvalues,
-        laplacian_matrix,
-        signless_laplacian_matrix,
-    )
-
     label, g = parse_graph_spec(spec, default_seed=config.seed)
     build = {
         "adjacency": adjacency_matrix,
@@ -283,21 +288,10 @@ def run_spectrum(spec: str, config: RunConfig, matrix: str = "signless") -> str:
 
 
 def run_invariants(spec: str, config: RunConfig) -> str:
-    """Degree data plus the oracle invariants, honoring the size limits."""
-    from .combinatorics import (
-        ALPHA_LIMIT,
-        EB_LIMIT,
-        VB_LIMIT,
-        OracleLimitError,
-        edge_bipartiteness,
-        independence_number,
-        vertex_bipartiteness,
-    )
-    from .graphs import degree_profile
-
+    """Degree data plus the oracle invariants; an oracle refused above its
+    size limit prints n/a with the reason."""
     label, g = parse_graph_spec(spec, default_seed=config.seed)
     profile = degree_profile(g)
-    opts = config.catalog
     pairs = [
         ("graph", label),
         ("n", str(g.n)),
@@ -307,15 +301,15 @@ def run_invariants(spec: str, config: RunConfig) -> str:
         ("M1", str(profile.m1)),
     ]
 
-    def oracle(fn, limit):
+    def oracle(fn):
         try:
-            return str(fn(g, limit=limit))
+            return str(fn(g, limit=config.catalog.oracle_limit))
         except OracleLimitError as exc:
             return f"n/a ({exc})"
 
-    pairs.append(("alpha", oracle(independence_number, opts.limit(ALPHA_LIMIT))))
-    pairs.append(("vertex_bipartiteness", oracle(vertex_bipartiteness, opts.limit(VB_LIMIT))))
-    pairs.append(("edge_bipartiteness", oracle(edge_bipartiteness, opts.limit(EB_LIMIT))))
+    pairs.append(("alpha", oracle(independence_number)))
+    pairs.append(("vertex_bipartiteness", oracle(vertex_bipartiteness)))
+    pairs.append(("edge_bipartiteness", oracle(edge_bipartiteness)))
     if config.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

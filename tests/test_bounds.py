@@ -18,6 +18,7 @@ from slq import (
     GraphData,
     barnes_hoffman_lower,
     bound_from_vector,
+    bounds,
     build_graph,
     compare_l1_l2,
     evaluate_catalog,
@@ -30,8 +31,16 @@ from slq import (
     mirsky_upper,
     signless_laplacian_matrix,
     spread_report,
+    vertex_bipartiteness,
 )
-from slq.bounds import CATALOG_BY_NAME, lb_mu1_minus_vb, lb_regular_sqrt, ub_global_2n4
+from slq.bounds import (
+    CATALOG_BY_NAME,
+    lb_cubic_moment,
+    lb_mu1_minus_vb,
+    lb_regular_sqrt,
+    ub_global_2n4,
+)
+from slq.validation import small_connected_sample
 
 UNSOUND_PRINTED_FORMS = {"meg2", "L1", "regular_sqrt"}
 
@@ -174,6 +183,31 @@ class TestLowerBoundFixtures:
             want = (r + s) / 2.0 + np.sqrt(((s - r) / 2.0) ** 2 + 1.0)
             assert bound("cubic_moment", g) == pytest.approx(want, abs=1e-9)
 
+    def test_cubic_moment_matches_edge_loop_exactly(self, corpus):
+        def loop_reference(g):
+            p = GraphData(g).profile
+            deg = p.degrees
+            ratio = float((deg**3).sum() + (deg * p.d2).sum()) / p.m1
+            y = None
+            for u, v in g.edges:
+                for a, b in ((u, v), (v, u)):
+                    if deg[b] == p.Delta:
+                        cand = (p.Delta + deg[a]) / 2.0 - np.sqrt(
+                            ((p.Delta - deg[a]) / 2.0) ** 2 + 1.0
+                        )
+                        if y is None or cand < y:
+                            y = cand
+            return abs(ratio - y)
+
+        graphs = [g for _, g in corpus] + [g for _, g in small_connected_sample()]
+        graphs += [generate_named("complete", k) for k in range(2, 10)]
+        checked = 0
+        for g in graphs:
+            if g.m >= 1:
+                assert lb_cubic_moment(GraphData(g)) == loop_reference(g)
+                checked += 1
+        assert checked > 700
+
     def test_liu_delta_value(self):
         assert bound("liu_delta", generate_named("path", 4)) == pytest.approx(2.0)
 
@@ -313,6 +347,21 @@ class TestApplicabilityAndOptions:
             assert "oracle limit" in by_name[name].reason
         assert by_name["meg2"].evaluated
         assert by_name["eta"].evaluated
+
+    def test_vb_refusal_is_one_oracle_call_with_one_reason(self, monkeypatch):
+        calls = []
+
+        def counting(g, limit=None):
+            calls.append(limit)
+            return vertex_bipartiteness(g, limit=limit)
+
+        monkeypatch.setattr(bounds, "vertex_bipartiteness", counting)
+        names = ("mu1_minus_vb", "4m_over_n_minus_vb", "2lambda1_minus_vb")
+        outcomes = evaluate_catalog(GraphData(generate_named("cycle", 21)), names)
+        assert [o.evaluated for o in outcomes] == [False, False, False]
+        reasons = {o.reason for o in outcomes}
+        assert reasons == {"vertex bipartiteness: n=21 exceeds oracle limit 20"}
+        assert calls == [None]
 
     def test_graphdata_caches_spectra(self):
         d = GraphData(generate_named("cycle", 6))

@@ -6,11 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from slq import (
-    CombinatorialInvariants,
     OracleLimitError,
     build_graph,
     check_density_condition,
-    combinatorial_invariants,
     edge_bipartiteness,
     generate_named,
     generate_random_connected,
@@ -163,15 +161,17 @@ class TestLimits:
         assert vertex_bipartiteness(g, limit=8) == 0
         assert edge_bipartiteness(g, limit=8) == 0
 
-    def test_invariants_fill_none_past_limits(self):
-        g = generate_random_connected(10, 15, seed=2)
-        inv = combinatorial_invariants(g, alpha_limit=9, vb_limit=9, eb_limit=9)
-        assert inv == CombinatorialInvariants(None, None, None, None)
-        partial = combinatorial_invariants(g, alpha_limit=30, vb_limit=9, eb_limit=30)
-        assert partial.alpha is not None and partial.tau == 10 - partial.alpha
-        assert partial.vertex_bipartiteness is None
-        assert partial.edge_bipartiteness is not None
-
-    def test_invariants_all_present_small(self):
-        inv = combinatorial_invariants(generate_named("cycle", 5))
-        assert inv == CombinatorialInvariants(2, 3, 1, 1)
+    def test_none_is_each_oracles_own_default(self):
+        # odd cycles: not bipartite, so vb cannot short-circuit to 0
+        c21 = generate_named("cycle", 21)
+        with pytest.raises(OracleLimitError, match="vertex bipartiteness: n=21 exceeds oracle limit 20"):
+            vertex_bipartiteness(c21)
+        with pytest.raises(OracleLimitError, match="exceeds oracle limit 20"):
+            vertex_bipartiteness(c21, limit=None)
+        with pytest.raises(OracleLimitError, match="max cut: n=25 exceeds oracle limit 24"):
+            edge_bipartiteness(generate_named("cycle", 25))
+        c31 = generate_named("cycle", 31)
+        with pytest.raises(OracleLimitError, match="independence number: n=31 exceeds oracle limit 30"):
+            vertex_cover_number(c31)
+        with pytest.raises(OracleLimitError, match="exceeds oracle limit 30"):
+            check_density_condition(c31)

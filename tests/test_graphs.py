@@ -1,6 +1,7 @@
 """Graph construction, named families, seeded generation, edge-list I/O."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,17 @@ class TestRandomConnected:
                 generate_random_connected(n, m, seed).edges
                 == reference_random_connected(n, m, seed).edges
             ), (n, m, seed)
+
+    def test_memory_is_linear_in_m(self):
+        # a sampler that materializes all n(n-1)/2 = 4.5M candidate pairs
+        # needs about 108 MB here
+        tracemalloc.start()
+        try:
+            generate_random_connected(3000, 6000, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestSplitMix64:

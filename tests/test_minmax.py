@@ -19,7 +19,6 @@ from slq import (
     generate_random_connected,
     grad_f_squared,
     gradient_search,
-    minmax_eta,
     numerical_grad_f_squared,
     one_step_analytic_bound,
     signless_laplacian_matrix,
@@ -252,7 +251,7 @@ class TestGradientSearch:
 
     def test_search_improves_on_start_for_star(self):
         g = generate_named("star", 3)
-        tr = minmax_eta(g)
+        tr = gradient_search(signless_laplacian_matrix(g))
         assert tr.initial_value == pytest.approx(np.sqrt(12.0), abs=1e-9)
         assert tr.best_value > tr.initial_value
         assert tr.best_value <= spread_report(g).s_q + 1e-9
@@ -269,13 +268,13 @@ class TestGradientSearch:
 class TestOneStep:
     def test_regular_graph_sits_at_stationary_zero(self):
         g = generate_named("cycle", 6)
-        value = one_step_analytic_bound(signless_laplacian_matrix(g))
+        value = one_step_analytic_bound(signless_laplacian_matrix(g), SearchConfig().step)
         assert value == pytest.approx(0.0, abs=1e-9)
         assert bound("one_step", g) == value
 
     def test_irregular_graph_moves_and_stays_valid(self):
         g = generate_named("star", 4)
-        value = one_step_analytic_bound(signless_laplacian_matrix(g))
+        value = one_step_analytic_bound(signless_laplacian_matrix(g), SearchConfig().step)
         assert 0.0 < value <= spread_report(g).s_q + 1e-9
 
     @given(connected_specs)

@@ -202,11 +202,8 @@ class TestRunTraceSpectrumInvariants:
         assert "start point perturbed" in out
 
     def test_trace_csv(self):
-        out = run_trace(
-            "star:3",
-            RunConfig(sources=(), fmt="csv"),
-            search=SearchConfig(iterations=4),
-        )
+        catalog = CatalogOptions(search=SearchConfig(iterations=4))
+        out = run_trace("star:3", RunConfig(sources=(), fmt="csv", catalog=catalog))
         lines = out.splitlines()
         assert lines[0] == "iteration,1,2,3,4"
         assert lines[1].startswith("f,")
@@ -241,11 +238,10 @@ class TestRunTraceSpectrumInvariants:
 
     def test_invariants_text(self):
         out = run_invariants("cycle:5", RunConfig(sources=()))
-        assert "graph = cycle:5" in out
-        assert "M1 = 20" in out
-        assert "alpha = 2" in out
-        assert "vertex_bipartiteness = 1" in out
-        assert "edge_bipartiteness = 1" in out
+        assert out == (
+            "graph = cycle:5\nn = 5\nm = 5\nDelta = 2\ndelta = 2\nM1 = 20\n"
+            "alpha = 2\nvertex_bipartiteness = 1\nedge_bipartiteness = 1\n"
+        )
 
     def test_invariants_respects_limits(self):
         config = RunConfig(sources=(), catalog=CatalogOptions(oracle_limit=3))
