@@ -161,6 +161,17 @@ class TestLimits:
         assert vertex_bipartiteness(g, limit=8) == 0
         assert edge_bipartiteness(g, limit=8) == 0
 
+    def test_invariants_all_present_small(self):
+        # every oracle answers on C5 at its own default limit
+        c5 = generate_named("cycle", 5)
+        values = (
+            independence_number(c5),
+            vertex_cover_number(c5),
+            vertex_bipartiteness(c5),
+            edge_bipartiteness(c5),
+        )
+        assert values == (2, 3, 1, 1)
+
     def test_none_is_each_oracles_own_default(self):
         # odd cycles: not bipartite, so vb cannot short-circuit to 0
         c21 = generate_named("cycle", 21)
