@@ -38,7 +38,7 @@ def _add_common_flags(sub: argparse.ArgumentParser):
         type=int,
         default=None,
         metavar="N",
-        help="cap every brute-force oracle at N vertices "
+        help="cap every exact oracle at N vertices "
         f"(defaults: alpha {ALPHA_LIMIT}, vertex bipartiteness {VB_LIMIT}, "
         f"edge bipartiteness {EB_LIMIT}; env {ENV_ORACLE_LIMIT})",
     )

@@ -1,15 +1,17 @@
-"""Exact combinatorial oracles, brute force with explicit size limits.
+"""Exact combinatorial oracles with explicit size limits.
 
-Everything here is exponential-time by design: these are ground-truth
-oracles for the spread bounds, not production solvers.  Each operation
-refuses inputs above its size limit by raising OracleLimitError so
-callers can degrade gracefully.  ``limit=None`` means the oracle's own
-default (ALPHA_LIMIT, VB_LIMIT or EB_LIMIT).
+These exponential-time ground-truth oracles refuse inputs above their size
+limit by raising OracleLimitError, so callers can degrade gracefully;
+``limit=None`` means the oracle's own default (ALPHA_LIMIT, VB_LIMIT or
+EB_LIMIT).  Independence numbers come from a branch and bound for a maximum
+clique of the complement (Tomita's MCQ), pruned by a greedy clique cover.
+Vertex bipartiteness is n - alpha(G □ K2): an induced bipartite subgraph of
+G is two disjoint independent sets, i.e. one independent set of the
+Cartesian product of G with an edge.  Max cut tabulates all bipartitions.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,7 +25,7 @@ EB_LIMIT = 24
 
 
 class OracleLimitError(ValueError):
-    """Input exceeds the brute-force size limit for an oracle."""
+    """Input exceeds the size limit of an oracle."""
 
     def __init__(self, what: str, n: int, limit: int):
         super().__init__(f"{what}: n={n} exceeds oracle limit {limit}")
@@ -40,40 +42,48 @@ def _adjacency_masks(g: Graph):
     return adj
 
 
-def independence_number(g: Graph, limit: Optional[int] = None) -> int:
-    """Maximum independent set size by branch and bound on bitmasks."""
-    limit = ALPHA_LIMIT if limit is None else limit
-    if g.n > limit:
-        raise OracleLimitError("independence number", g.n, limit)
-    adj = _adjacency_masks(g)
+def _max_independent_set(nv: int, adj) -> int:
+    """Independence number of the graph on nv vertices with neighbourhood
+    bitmasks adj."""
     best = 0
 
     def expand(cand: int, size: int):
         nonlocal best
-        if size + cand.bit_count() <= best:
-            return
-        if cand == 0:
-            best = size
-            return
-        # pivot on the candidate with most candidate neighbors
-        v = -1
-        vdeg = -1
-        c = cand
-        while c:
-            b = c & -c
-            u = b.bit_length() - 1
-            d = (adj[u] & cand).bit_count()
-            if d > vdeg:
-                v, vdeg = u, d
-            c ^= b
-        bit = 1 << v
-        expand(cand & ~(adj[v] | bit), size + 1)
-        if vdeg > 0:
-            # excluding v only matters when v has candidate neighbors
-            expand(cand & ~bit, size)
+        # cover the candidates greedily by cliques; a vertex in the k-th
+        # clique heads a branch that can add at most k vertices
+        order = []
+        left = cand
+        k = 0
+        while left:
+            k += 1
+            clique = left
+            while clique:
+                b = clique & -clique
+                v = b.bit_length() - 1
+                left ^= b
+                clique &= adj[v]
+                order.append((v, k))
+        for v, k in reversed(order):
+            if size + k <= best:
+                return
+            b = 1 << v
+            rest = cand & ~(adj[v] | b)
+            if rest:
+                expand(rest, size + 1)
+            elif size + 1 > best:
+                best = size + 1
+            cand ^= b
 
-    expand((1 << g.n) - 1, 0)
+    expand((1 << nv) - 1, 0)
     return best
+
+
+def independence_number(g: Graph, limit: Optional[int] = None) -> int:
+    """Maximum independent set size."""
+    limit = ALPHA_LIMIT if limit is None else limit
+    if g.n > limit:
+        raise OracleLimitError("independence number", g.n, limit)
+    return _max_independent_set(g.n, _adjacency_masks(g))
 
 
 def vertex_cover_number(g: Graph, limit: Optional[int] = None) -> int:
@@ -81,70 +91,59 @@ def vertex_cover_number(g: Graph, limit: Optional[int] = None) -> int:
     return g.n - independence_number(g, limit=limit)
 
 
-def _bipartite_after_removal(adj, n: int, removed: int) -> bool:
-    color = [-1] * n
-    for start in range(n):
-        if removed >> start & 1 or color[start] != -1:
-            continue
-        color[start] = 0
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            nxt = adj[u] & ~removed
-            while nxt:
-                b = nxt & -nxt
-                v = b.bit_length() - 1
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    stack.append(v)
-                elif color[v] == color[u]:
-                    return False
-                nxt ^= b
-    return True
-
-
 def vertex_bipartiteness(g: Graph, limit: Optional[int] = None) -> int:
-    """Minimum number of vertex deletions leaving a bipartite graph.
-
-    Exhaustive over deletion sets in order of increasing size; the first
-    hit is optimal.  Bipartite inputs short-circuit to 0.
-    """
+    """Minimum number of vertex deletions leaving a bipartite graph:
+    n - alpha(G □ K2).  Bipartite inputs short-circuit to 0."""
     if is_bipartite(g)[0]:
         return 0
     limit = VB_LIMIT if limit is None else limit
     if g.n > limit:
         raise OracleLimitError("vertex bipartiteness", g.n, limit)
+    n = g.n
     adj = _adjacency_masks(g)
-    # deleting all but 2 vertices always suffices
-    for k in range(1, g.n - 1):
-        for subset in itertools.combinations(range(g.n), k):
-            removed = 0
-            for v in subset:
-                removed |= 1 << v
-            if _bipartite_after_removal(adj, g.n, removed):
-                return k
-    return g.n - 2
+    doubled = [a | 1 << (v + n) for v, a in enumerate(adj)]
+    doubled += [a << n | 1 << v for v, a in enumerate(adj)]
+    return n - _max_independent_set(2 * n, doubled)
 
 
 def max_cut(g: Graph, limit: Optional[int] = None) -> int:
-    """Maximum cut size over all 2^(n-1) bipartitions (vertex n-1 pinned)."""
+    """Maximum cut size over all 2^(n-1) bipartitions (vertex n-1 pinned).
+
+    Doubling builds the cut value of every bipartition of the first
+    ``head`` <= 20 vertices: vertex k cuts its earlier neighbours on side 1
+    when it joins side 0, and the others when it joins side 1.  The rest
+    (at most three free vertices at EB_LIMIT, plus the pinned one) is added
+    to that table once per assignment, so no array exceeds 2^20 entries.
+    """
     limit = EB_LIMIT if limit is None else limit
     if g.n > limit:
         raise OracleLimitError("max cut", g.n, limit)
     if g.m == 0:
         return 0
-    total = 1 << (g.n - 1)
-    chunk = 1 << 20
+    adj = _adjacency_masks(g)
+    head = min(g.n - 1, 20)
+    low = (1 << head) - 1
+    masks = np.arange(1 << head, dtype=np.uint32)
+    cut = np.zeros(1, dtype=np.uint16)
+    for k in range(head):
+        earlier = adj[k] & ((1 << k) - 1)
+        side0 = np.bitwise_count(masks[: 1 << k] & earlier)
+        cut = np.concatenate((cut + side0, cut + (earlier.bit_count() - side0)))
+    tail = [(w, np.bitwise_count(masks & (adj[w] & low)), (adj[w] & low).bit_count())
+            for w in range(head, g.n)]
+    del masks
     best = 0
-    one = np.uint64(1)
-    for start in range(0, total, chunk):
-        masks = np.arange(start, min(start + chunk, total), dtype=np.uint64)
-        acc = np.zeros(masks.shape[0], dtype=np.uint16)
-        for u, v in g.edges:
-            acc += (((masks >> np.uint64(u)) ^ (masks >> np.uint64(v))) & one).astype(
-                np.uint16
-            )
-        best = max(best, int(acc.max()))
+    # ones: the tail vertices on side 1, as a bitmask without vertex n-1
+    for ones in range(0, 1 << (g.n - 1), 1 << head):
+        block = cut.copy()
+        within = 0
+        for w, side0, degree in tail:
+            if ones >> w & 1:
+                block += degree - side0
+                within += (adj[w] & ~ones & ~low).bit_count()
+            else:
+                block += side0
+        best = max(best, int(block.max()) + within)
     return best
 
 

@@ -1,7 +1,9 @@
-"""Brute-force combinatorial oracles against naive powerset recomputation."""
+"""Exact combinatorial oracles against independent enumerating references."""
 
+import tracemalloc
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -18,6 +20,8 @@ from slq import (
     vertex_bipartiteness,
     vertex_cover_number,
 )
+from slq.report import parse_graph_spec
+from slq.validation import small_connected_sample, standard_corpus
 
 small_specs = st.integers(2, 9).flatmap(
     lambda n: st.tuples(
@@ -66,6 +70,68 @@ def naive_max_cut(g) -> int:
     return best
 
 
+def _masks(g):
+    adj = [0] * g.n
+    for u, v in g.edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    return adj
+
+
+def _bipartite_after_removal(adj, n: int, removed: int) -> bool:
+    color = [-1] * n
+    for start in range(n):
+        if removed >> start & 1 or color[start] != -1:
+            continue
+        color[start] = 0
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            nxt = adj[u] & ~removed
+            while nxt:
+                b = nxt & -nxt
+                v = b.bit_length() - 1
+                if color[v] == -1:
+                    color[v] = 1 - color[u]
+                    stack.append(v)
+                elif color[v] == color[u]:
+                    return False
+                nxt ^= b
+    return True
+
+
+def enumerated_vb(g) -> int:
+    """Oracle: deletion sets on bitmasks in order of size; the first one
+    that leaves a bipartite graph is optimal."""
+    adj = _masks(g)
+    for k in range(g.n + 1):
+        for subset in combinations(range(g.n), k):
+            if _bipartite_after_removal(adj, g.n, sum(1 << v for v in subset)):
+                return k
+    raise AssertionError("empty graph is bipartite")
+
+
+def per_edge_max_cut(g) -> int:
+    """Oracle: every bipartition with vertex n-1 pinned, one numpy pass
+    per edge over the 2^(n-1) side masks."""
+    masks = np.arange(1 << (g.n - 1), dtype=np.uint64)
+    acc = np.zeros(masks.shape[0], dtype=np.uint16)
+    for u, v in g.edges:
+        acc += ((masks >> np.uint64(u) ^ masks >> np.uint64(v)) & np.uint64(1)).astype(np.uint16)
+    return int(acc.max())
+
+
+def petersen():
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    return build_graph(10, outer + spokes + inner)
+
+
+CORPUS = standard_corpus()
+SAMPLE = small_connected_sample()
+
+
 class TestFrozenValues:
     def test_cycle5(self):
         c5 = generate_named("cycle", 5)
@@ -90,6 +156,22 @@ class TestFrozenValues:
 
     def test_star_independence(self):
         assert independence_number(generate_named("star", 7)) == 7
+
+    def test_petersen(self):
+        g = petersen()
+        assert (independence_number(g), vertex_bipartiteness(g), max_cut(g)) == (4, 3, 12)
+
+    def test_complete20(self):
+        # vb runs on the 40 vertices of K_20 □ K_2, past ALPHA_LIMIT = 30
+        k20 = generate_named("complete", 20)
+        assert vertex_bipartiteness(k20) == 18
+        assert independence_number(k20) == 1
+
+    def test_blocked_max_cut_closed_forms(self):
+        # n >= 22 adds the free vertices past the first 20 block by block
+        assert max_cut(generate_named("complete", 24)) == 144
+        assert max_cut(generate_named("cycle", 23)) == 22
+        assert max_cut(generate_named("complete_bipartite", (11, 12))) == 132
 
 
 class TestAgainstNaive:
@@ -118,6 +200,40 @@ class TestAgainstNaive:
         edges.append((0, 5))
         g = build_graph(10, edges)
         assert independence_number(g) == 2 == naive_alpha(g)
+
+
+class TestAgainstReferences:
+    def test_vb_matches_enumerator(self):
+        graphs = [g for _, g in SAMPLE] + [g for _, g in CORPUS if g.n <= 20]
+        for g in graphs:
+            assert vertex_bipartiteness(g) == enumerated_vb(g), g
+
+    def test_max_cut_matches_per_edge_loop(self):
+        graphs = [g for _, g in SAMPLE] + [g for _, g in CORPUS if g.n <= 16]
+        for g in graphs:
+            assert max_cut(g) == per_edge_max_cut(g), g
+
+    def test_blocked_max_cut_matches_per_edge_loop(self):
+        for n, m in ((21, 30), (22, 30)):
+            g = generate_random_connected(n, m, seed=n)
+            assert max_cut(g) == per_edge_max_cut(g), (n, m)
+
+    def test_alpha_matches_naive(self):
+        for _, g in SAMPLE:
+            assert independence_number(g) == naive_alpha(g), g
+
+    def test_max_cut_memory_is_blocked(self):
+        # one doubling over all 23 free vertices peaks at 92 MB here, the
+        # per-edge loop at 26 MB
+        _, g = parse_graph_spec("rand:n=24,m=96,seed=3")
+        tracemalloc.start()
+        try:
+            value = max_cut(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 72  # the per-edge loop's value
+        assert peak < 24 * 2**20
 
 
 class TestDensityCondition:
