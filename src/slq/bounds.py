@@ -239,7 +239,7 @@ def lb_regular_sqrt(data: GraphData) -> float:
     """s_Q >= 2 sqrt(k+1) on k-regular graphs."""
     _require(data.regular, "needs a regular graph")
     _require(data.graph.m >= 1, "needs at least one edge")
-    return 2.0 * np.sqrt(data.graph.degrees[0] + 1.0)
+    return 2.0 * np.sqrt(data.profile.Delta + 1.0)
 
 
 def lb_zagreb(data: GraphData) -> float:
@@ -271,9 +271,9 @@ def lb_cubic_moment(data: GraphData) -> float:
     pq with deg(q) = Delta, (Delta + d_p)/2 - sqrt(((Delta - d_p)/2)^2 + 1)."""
     _require(data.graph.m >= 1, "needs at least one edge")
     p = data.profile
-    deg = p.degrees
+    deg = data.graph.degrees
     ratio = float((deg**3).sum() + (deg * p.d2).sum()) / p.m1
-    u, v = np.asarray(data.graph.edges, dtype=np.intp).reshape(-1, 2).T
+    u, v = data.graph.edge_array.T
     ends, tips = np.concatenate((u, v)), np.concatenate((v, u))
     d_p = deg[ends[deg[tips] == p.Delta]]
     y = ((p.Delta + d_p) / 2.0 - np.sqrt(((p.Delta - d_p) / 2.0) ** 2 + 1.0)).min()
@@ -284,7 +284,7 @@ def lb_regular_kplus1(data: GraphData) -> float:
     """s = s_Q >= k+1 on k-regular graphs with at least one edge."""
     _require(data.regular, "needs a regular graph")
     _require(data.graph.m >= 1, "needs at least one edge")
-    return data.graph.degrees[0] + 1.0
+    return data.profile.Delta + 1.0
 
 
 def lb_path_universal(data: GraphData) -> float:
@@ -302,7 +302,7 @@ def lb_ncon(data: GraphData) -> float:
 def lb_degree_vector(data: GraphData) -> float:
     """Degree-vector minmax bound."""
     _require(data.graph.m >= 1, "needs at least one edge")
-    return minmax.degree_vector_value(data.profile)
+    return minmax.degree_vector_value(data.graph.degrees, data.profile.d2)
 
 
 def lb_z1(data: GraphData) -> float:
@@ -314,7 +314,7 @@ def lb_z1(data: GraphData) -> float:
 def lb_z2(data: GraphData) -> float:
     """Inverse-cubed-degree minmax bound (reported as Z2)."""
     _require(data.profile.delta >= 1, "needs a graph without isolated vertices")
-    deg = data.profile.degrees.astype(np.float64)
+    deg = data.graph.degrees.astype(np.float64)
     return minmax.bound_from_vector(data.q_matrix, deg**-3)
 
 
@@ -365,9 +365,8 @@ def ub_liu_degree_avg(data: GraphData) -> float:
     on connected graphs."""
     _require(data.connected, "needs a connected graph")
     _require(data.graph.n >= 2, "needs at least 2 vertices")
-    p = data.profile
-    deg = p.degrees.astype(np.float64)
-    return float((deg + p.d2 / deg).max())
+    deg = data.graph.degrees.astype(np.float64)
+    return float((deg + data.profile.d2 / deg).max())
 
 
 def ub_das_laplacian(data: GraphData) -> float:

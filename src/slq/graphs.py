@@ -1,8 +1,8 @@
 """Simple undirected graphs: validated construction, named families,
 seeded random connected graphs, degree invariants, and edge-list I/O.
 
-Vertices are 0-indexed.  Edges are stored canonically as a sorted tuple of
-(i, j) pairs with i < j, so two equal graphs compare and hash equal.
+Vertices are 0-indexed.  A graph stores its edges once, as a read-only array
+of pairs i < j in lexicographic order, so equal graphs compare and hash equal.
 Isolated vertices are rejected by default (the spread bounds assume every
 vertex has an edge) and admitted only through ``allow_isolated``.
 """
@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,68 +26,85 @@ class EdgeListError(GraphError):
     """Malformed edge-list text."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Immutable simple graph.  Build through :func:`build_graph`."""
+    """Immutable simple graph.  Build through :func:`build_graph`.
+
+    ``edge_array`` (m x 2) and ``degrees`` are read-only int64 arrays;
+    ``edges`` holds the same pairs as Python ints, made on first use."""
 
     n: int
-    edges: tuple
-    degrees: tuple
-    neighbors: tuple
+    edge_array: np.ndarray
+    degrees: np.ndarray
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
+
+    @cached_property
+    def edges(self) -> tuple:
+        return tuple(map(tuple, self.edge_array.tolist()))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Graph) and self.n == other.n and np.array_equal(
+            self.edge_array, other.edge_array
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.edge_array.tobytes()))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
 
 
 def build_graph(n: int, edges, allow_isolated: bool = False) -> Graph:
-    """Validate and canonicalize an edge list into a Graph."""
+    """Validate and canonicalize an edge list into a Graph.  The first bad
+    entry in input order is reported: not a pair, a loop, out of range, or a
+    repeat of an earlier edge in either orientation."""
     if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
         raise GraphError("vertex count must be an integer")
     n = int(n)
     if n < 1:
         raise GraphError("vertex count must be at least 1")
-    canon = []
-    seen = set()
-    for e in edges:
-        try:
-            u, v = e
-        except (TypeError, ValueError):
-            raise GraphError(f"edge {e!r} is not a pair") from None
-        u, v = int(u), int(v)
-        if u == v:
-            raise GraphError(f"loop at vertex {u} is not allowed")
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-        if u > v:
-            u, v = v, u
-        if (u, v) in seen:
-            raise GraphError(f"duplicate edge ({u}, {v})")
-        seen.add((u, v))
-        canon.append((u, v))
-    canon.sort()
-    deg = [0] * n
-    nbrs = [[] for _ in range(n)]
-    for u, v in canon:
-        deg[u] += 1
-        deg[v] += 1
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    if not allow_isolated:
-        for v in range(n):
-            if deg[v] == 0:
-                raise GraphError(
-                    f"vertex {v} is isolated; pass allow_isolated=True to admit it"
-                )
-    return Graph(
-        n=n,
-        edges=tuple(canon),
-        degrees=tuple(deg),
-        neighbors=tuple(tuple(sorted(a)) for a in nbrs),
-    )
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        rows, pairs = np.array(edges, dtype=np.int64), len(edges)
+    except (OverflowError, ValueError):  # an endpoint beyond int64, or ragged
+        rows = None
+    if rows is None or rows.shape[1:] != (2,):
+        # check the entries before the first that is not a pair, as Python ints
+        pairs = next((i for i, e in enumerate(edges) if np.shape(e) != (2,)), len(edges))
+        rows = np.array(edges[:pairs], dtype=object).reshape(-1, 2)
+    u, v = rows.T
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n))
+    stop = bad[0] if len(bad) else len(rows)
+    lo, hi = lo[:stop].astype(np.int64), hi[:stop].astype(np.int64)
+    # a stable sort keeps repeats in input order, so each repeat after the
+    # first of its run duplicates an earlier edge
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    repeat = np.flatnonzero((lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])) + 1
+    if len(repeat):
+        first = repeat[np.argmin(order[repeat])]
+        raise GraphError(f"duplicate edge ({lo[first]}, {hi[first]})")
+    if len(bad):
+        a, b = int(u[stop]), int(v[stop])
+        if a == b:
+            raise GraphError(f"loop at vertex {a} is not allowed")
+        raise GraphError(f"edge ({a}, {b}) out of range for n={n}")
+    if pairs < len(edges):
+        raise GraphError(f"edge {edges[pairs]!r} is not a pair")
+    edge_array = np.stack((lo, hi), axis=1)
+    degrees = np.bincount(edge_array.ravel(), minlength=n)
+    if not allow_isolated and not degrees.all():
+        raise GraphError(
+            f"vertex {degrees.argmin()} is isolated; pass allow_isolated=True to admit it"
+        )
+    edge_array.flags.writeable = False
+    degrees.flags.writeable = False
+    return Graph(n=n, edge_array=edge_array, degrees=degrees)
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +127,7 @@ def generate_named(family: str, params) -> Graph:
         p, q = int(p), int(q)
         if p < 1 or q < 1:
             raise GraphError("complete_bipartite parts must be at least 1")
-        return build_graph(
-            p + q, [(i, p + j) for i in range(p) for j in range(q)]
-        )
+        return build_graph(p + q, np.argwhere(np.ones((p, q))) + (0, p))
     try:
         k = int(params)
     except (TypeError, ValueError):
@@ -127,11 +143,7 @@ def generate_named(family: str, params) -> Graph:
     if family == "complete":
         if k < 1:
             raise GraphError("complete needs at least 1 vertex")
-        return build_graph(
-            k,
-            [(i, j) for i in range(k) for j in range(i + 1, k)],
-            allow_isolated=k == 1,
-        )
+        return build_graph(k, np.column_stack(np.triu_indices(k, 1)), allow_isolated=k == 1)
     if family == "star":
         if k < 1:
             raise GraphError("star needs at least 1 leaf")
@@ -139,11 +151,7 @@ def generate_named(family: str, params) -> Graph:
     if family == "kn1uk1":
         if k < 3:
             raise GraphError("kn1uk1 needs at least 3 vertices")
-        return build_graph(
-            k,
-            [(i, j) for i in range(k - 1) for j in range(i + 1, k - 1)],
-            allow_isolated=True,
-        )
+        return build_graph(k, np.column_stack(np.triu_indices(k - 1, 1)), allow_isolated=True)
     raise GraphError(f"unknown family {family!r}")
 
 
@@ -153,16 +161,12 @@ def generate_regular_circulant(n: int, k: int) -> Graph:
         raise GraphError("need 1 <= k < n")
     if (n * k) % 2 != 0:
         raise GraphError("no k-regular graph exists on n vertices when n*k is odd")
-    edges = set()
-    for jump in range(1, k // 2 + 1):
-        for i in range(n):
-            j = (i + jump) % n
-            edges.add((min(i, j), max(i, j)))
+    # every pair appears once: each jump is below n/2
+    i = np.arange(n)
+    edges = [np.stack((i, (i + jump) % n), axis=1) for jump in range(1, k // 2 + 1)]
     if k % 2 == 1:
-        half = n // 2
-        for i in range(half):
-            edges.add((i, i + half))
-    return build_graph(n, sorted(edges))
+        edges.append(np.stack((i[: n // 2], i[: n // 2] + n // 2), axis=1))
+    return build_graph(n, np.concatenate(edges))
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +210,7 @@ def generate_random_connected(n: int, m: int, seed: int) -> Graph:
     if not n - 1 <= m <= max_m:
         raise GraphError(f"edge count must satisfy {n - 1} <= m <= {max_m}")
     rng = SplitMix64(seed)
-    tree = _prufer_tree_edges(n, rng)
+    edges = np.array(_prufer_tree_edges(n, rng), dtype=np.int64).reshape(-1, 2)
     extra = m - (n - 1)
     if extra:
         # Fisher-Yates over positions 0..size-1 of the sorted non-tree pair
@@ -221,7 +225,7 @@ def generate_random_connected(n: int, m: int, seed: int) -> Graph:
             moved[j] = moved.get(k, k)
         # a position becomes a lexicographic pair rank, (i, j) -> i (2n - i - 1)/2
         # + j - i - 1, by skipping the tree ranks at or below it
-        i, j = np.array(tree, dtype=np.int64).T
+        i, j = edges.T
         tree_ranks = np.sort(i * (2 * n - i - 1) // 2 + j - i - 1)
         picks = np.array(picks, dtype=np.int64)
         ranks = picks + np.searchsorted(tree_ranks - np.arange(n - 1), picks, side="right")
@@ -231,8 +235,8 @@ def generate_random_connected(n: int, m: int, seed: int) -> Graph:
         rows += (rows + 1) * (2 * n - rows - 2) // 2 <= ranks
         rows -= rows * (2 * n - rows - 1) // 2 > ranks
         cols = ranks - rows * (2 * n - rows - 1) // 2 + rows + 1
-        tree.extend(zip(rows.tolist(), cols.tolist()))
-    return build_graph(n, tree)
+        edges = np.concatenate((edges, np.stack((rows, cols), axis=1)))
+    return build_graph(n, edges)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +245,8 @@ def generate_random_connected(n: int, m: int, seed: int) -> Graph:
 
 @dataclass(frozen=True, eq=False)
 class DegreeProfile:
-    """Degree sequence and the derived quantities the bounds consume."""
+    """The quantities the bounds derive from the degrees."""
 
-    degrees: np.ndarray
     delta: int
     Delta: int
     avg: float
@@ -253,13 +256,12 @@ class DegreeProfile:
 
 def degree_profile(g: Graph) -> DegreeProfile:
     """Degrees, extremes, average 2m/n, first Zagreb index, and d2 = A d."""
-    deg = np.asarray(g.degrees, dtype=np.int64)
-    u, v = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2).T
+    deg = g.degrees
+    u, v = g.edge_array.T
     d2 = np.zeros(g.n, dtype=np.int64)
     np.add.at(d2, v, deg[u])
     np.add.at(d2, u, deg[v])
     return DegreeProfile(
-        degrees=deg,
         delta=int(deg.min()),
         Delta=int(deg.max()),
         avg=2.0 * g.m / g.n,
@@ -268,47 +270,49 @@ def degree_profile(g: Graph) -> DegreeProfile:
     )
 
 
+def _two_coloring(g: Graph):
+    """Breadth-first two-coloring of each component from its smallest
+    vertex: the color array and the number of components."""
+    ends = g.edge_array.ravel()
+    # a stable sort lists the edges at each vertex in lexicographic order,
+    # so its neighbours come out ascending
+    tips = ends[np.argsort(ends, kind="stable") ^ 1].tolist()
+    stops = np.cumsum(g.degrees).tolist()
+    neighbors = [tips[a:b] for a, b in zip([0] + stops, stops)]
+    color = [-1] * g.n
+    components = 0
+    for start in range(g.n):
+        if color[start] != -1:
+            continue
+        components += 1
+        color[start] = 0
+        queue = [start]
+        for u in queue:  # grows while it is read: first in, first out
+            other = 1 - color[u]
+            for v in neighbors[u]:
+                if color[v] == -1:
+                    color[v] = other
+                    queue.append(v)
+    return np.array(color), components
+
+
 def is_connected(g: Graph) -> bool:
-    """Breadth-first reachability from vertex 0."""
-    seen = [False] * g.n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in g.neighbors[u]:
-            if not seen[v]:
-                seen[v] = True
-                count += 1
-                stack.append(v)
-    return count == g.n
+    """True when breadth-first search finds a single component."""
+    return _two_coloring(g)[1] == 1
 
 
 def is_bipartite(g: Graph):
     """Two-color by BFS.  Returns (True, (part0, part1)) or (False, None)."""
-    color = [-1] * g.n
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            nxt = []
-            for u in queue:
-                for v in g.neighbors[u]:
-                    if color[v] == -1:
-                        color[v] = 1 - color[u]
-                        nxt.append(v)
-                    elif color[v] == color[u]:
-                        return False, None
-            queue = nxt
-    part0 = tuple(v for v in range(g.n) if color[v] == 0)
-    part1 = tuple(v for v in range(g.n) if color[v] == 1)
+    color = _two_coloring(g)[0]
+    u, v = g.edge_array.T
+    if (color[u] == color[v]).any():
+        return False, None
+    part0, part1 = (tuple(np.flatnonzero(color == c).tolist()) for c in (0, 1))
     return True, (part0, part1)
 
 
 def is_regular(g: Graph) -> bool:
-    return len(set(g.degrees)) == 1
+    return bool((g.degrees == g.degrees[0]).all())
 
 
 # ---------------------------------------------------------------------------

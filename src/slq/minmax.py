@@ -208,11 +208,11 @@ def ncon_value(n: int, m: int, m1: int) -> float:
     return 4.0 / n * np.sqrt(max(n * m1 - 4 * m * m, 0))
 
 
-def degree_vector_value(profile) -> float:
+def degree_vector_value(degrees: np.ndarray, d2: np.ndarray) -> float:
     """Degree-vector bound via the explicit degree formula (y = d,
     t = d^2 + d2 entrywise, no matrix product)."""
-    y = profile.degrees.astype(np.float64)
-    t = y * y + profile.d2.astype(np.float64)
+    y = degrees.astype(np.float64)
+    t = y * y + d2.astype(np.float64)
     yy = float(y @ y)
     if yy == 0.0:
         raise ValueError("degree vector bound needs at least one edge")
@@ -223,10 +223,10 @@ def degree_vector_value(profile) -> float:
 def inverse_degree_value(g: Graph) -> float:
     """Inverse-degree bound via its displayed formula (y_i = 1/d_i,
     t_i = 1 + sum of 1/d_j over neighbors j)."""
-    if min(g.degrees) == 0:
+    if not g.degrees.all():
         raise ValueError("inverse-degree bound needs a graph without isolated vertices")
-    y = 1.0 / np.asarray(g.degrees, dtype=np.float64)
-    u, v = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2).T
+    y = 1.0 / g.degrees
+    u, v = g.edge_array.T
     t = np.ones(g.n)
     # v endpoints first, then u: on canonically sorted edges this adds each
     # vertex's terms in ascending neighbour order, as a loop over the edges does

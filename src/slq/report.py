@@ -155,8 +155,8 @@ def build_row(label: str, g: Graph, columns, options: CatalogOptions,
         label=label,
         n=g.n,
         m=g.m,
-        Delta=max(g.degrees),
-        delta=min(g.degrees),
+        Delta=data.profile.Delta,
+        delta=data.profile.delta,
         seed=seed,
         s_q=data.s_q,
         outcomes=outcomes,

@@ -25,7 +25,7 @@ RESIDUAL_CONTRACT = 1e-9
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
     a = np.zeros((g.n, g.n), dtype=np.float64)
-    u, v = np.asarray(g.edges, dtype=np.intp).reshape(-1, 2).T
+    u, v = g.edge_array.T
     a[u, v] = 1.0
     a[v, u] = 1.0
     return a
@@ -33,20 +33,18 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
     a = adjacency_matrix(g)
-    return np.diag(np.asarray(g.degrees, dtype=np.float64)) - a
+    return np.diag(g.degrees) - a
 
 
 def signless_laplacian_matrix(g: Graph) -> np.ndarray:
     a = adjacency_matrix(g)
-    return np.diag(np.asarray(g.degrees, dtype=np.float64)) + a
+    return np.diag(g.degrees) + a
 
 
 def incidence_matrix(g: Graph) -> np.ndarray:
     """Unoriented incidence: n x m 0/1 integer matrix, I I^T = Q exactly."""
     inc = np.zeros((g.n, g.m), dtype=np.int64)
-    for e, (u, v) in enumerate(g.edges):
-        inc[u, e] = 1
-        inc[v, e] = 1
+    inc[g.edge_array.T, np.arange(g.m)] = 1
     return inc
 
 
@@ -57,17 +55,13 @@ def oriented_incidence_matrix(g: Graph, orientation=None) -> np.ndarray:
     keeps the edge pointing from its smaller to its larger endpoint.  The
     Laplacian identity holds for every orientation.
     """
-    if orientation is None:
-        orientation = (1,) * g.m
-    if len(orientation) != g.m:
+    s = np.ones(g.m, dtype=np.int64) if orientation is None else np.asarray(orientation)
+    if s.shape != (g.m,):
         raise GraphError("orientation must give one sign per edge")
+    if not np.isin(s, (-1, 1)).all():
+        raise GraphError("orientation entries must be +1 or -1")
     inc = np.zeros((g.n, g.m), dtype=np.int64)
-    for e, (u, v) in enumerate(g.edges):
-        s = int(orientation[e])
-        if s not in (-1, 1):
-            raise GraphError("orientation entries must be +1 or -1")
-        inc[u, e] = -s
-        inc[v, e] = s
+    inc[g.edge_array.T, np.arange(g.m)] = -s, s
     return inc
 
 
@@ -75,16 +69,16 @@ def line_graph(g: Graph) -> Graph:
     """Graph on the edges of g; two edges are adjacent iff they share an endpoint."""
     if g.m == 0:
         raise GraphError("line graph of an edgeless graph has no vertices")
-    incident = [[] for _ in range(g.n)]
-    for e, (u, v) in enumerate(g.edges):
-        incident[u].append(e)
-        incident[v].append(e)
-    pairs = set()
-    for lst in incident:
-        for i in range(len(lst)):
-            for j in range(i + 1, len(lst)):
-                pairs.add((lst[i], lst[j]))
-    return build_graph(g.m, sorted(pairs), allow_isolated=True)
+    # the edges at each vertex, one run per vertex
+    ends = g.edge_array.ravel()
+    order = np.argsort(ends)
+    incident = order // 2
+    # pair each entry with every later entry of its run
+    later = np.cumsum(g.degrees)[ends[order]] - np.arange(2 * g.m) - 1
+    first = np.repeat(np.arange(2 * g.m), later)
+    offset = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later) + 1
+    pairs = np.stack((incident[first], incident[first + offset]), axis=1)
+    return build_graph(g.m, pairs, allow_isolated=True)
 
 
 @dataclass(frozen=True, eq=False)

@@ -69,20 +69,21 @@ def printed_form_excluded(name: str, data: GraphData) -> bool:
     return False
 
 
-def classify(outcome, data: GraphData, exclude, tol: float = SANDWICH_TOL):
+def classify(outcome, data: GraphData, exclude):
     """The one violation rule: None when the outcome was not evaluated or
     sits on the right side of the spread it targets (a lower bound at most
-    spread + tol, an upper bound at least spread - tol); otherwise the pair
-    (reference spread, excluded), where excluded is exclude(name, data) and
-    False when exclude is None.  The reference is read from data only here,
-    so a spectrum is solved only for a target some evaluated entry has."""
+    spread + SANDWICH_TOL, an upper bound at least spread - SANDWICH_TOL);
+    otherwise the pair (reference spread, excluded), where excluded is
+    exclude(name, data) and False when exclude is None.  The reference is
+    read from data only here, so a spectrum is solved only for a target
+    some evaluated entry has."""
     if not outcome.evaluated:
         return None
     ref = data.s_q if outcome.target == "s_Q" else data.s_l
     if outcome.direction == "lower":
-        bad = outcome.value > ref + tol
+        bad = outcome.value > ref + SANDWICH_TOL
     else:
-        bad = outcome.value < ref - tol
+        bad = outcome.value < ref - SANDWICH_TOL
     if not bad:
         return None
     return ref, exclude is not None and exclude(outcome.name, data)
@@ -241,14 +242,13 @@ class ValidationReport:
 def check_sandwich(
     corpus,
     options: Optional[CatalogOptions] = None,
-    tol: float = SANDWICH_TOL,
     report: Optional[ValidationReport] = None,
     exclude=printed_form_excluded,
 ) -> ValidationReport:
-    """Every applicable lower bound <= spread + tol and every upper bound
-    >= spread - tol, per target spread, as decided by classify.  Violations
-    from excluded cells go to report.logged; everything else to
-    report.failures."""
+    """Every applicable lower bound <= spread + SANDWICH_TOL and every upper
+    bound >= spread - SANDWICH_TOL, per target spread, as decided by
+    classify.  Violations from excluded cells go to report.logged;
+    everything else to report.failures."""
     rep = report if report is not None else ValidationReport()
     for label, g in corpus:
         data = GraphData(g, options)
@@ -258,7 +258,7 @@ def check_sandwich(
                 rep.inapplicable_cells += 1
                 continue
             rep.cells_checked += 1
-            verdict = classify(outcome, data, exclude, tol)
+            verdict = classify(outcome, data, exclude)
             if verdict is None:
                 continue
             ref, excluded = verdict
@@ -278,16 +278,14 @@ def check_sandwich(
 # equality fixtures
 
 
-def check_equality_fixtures(
-    report: Optional[ValidationReport] = None, tol: float = SANDWICH_TOL
-) -> ValidationReport:
+def check_equality_fixtures(report: Optional[ValidationReport] = None) -> ValidationReport:
     """Cases where a bound or closed form meets the spread exactly."""
     from . import bounds
 
     rep = report if report is not None else ValidationReport()
 
     def expect(label, got, want):
-        if abs(got - want) > tol:
+        if abs(got - want) > SANDWICH_TOL:
             rep.fixture_failures.append(f"{label}: got {got!r}, expected {want!r}")
 
     for n in range(2, 31):
@@ -376,7 +374,7 @@ def check_identities(
 
 
 def check_gradients(
-    sample=None, report: Optional[ValidationReport] = None, tol: float = SANDWICH_TOL
+    sample=None, report: Optional[ValidationReport] = None
 ) -> ValidationReport:
     """Analytic gradient vs central differences, and search-trace validity
     (no trace value may exceed the exact spread)."""
@@ -395,7 +393,7 @@ def check_gradients(
             rep.gradient_failures.append(f"{label}: analytic vs numerical gradient")
         trace = gradient_search(q)
         worst = max((trace.initial_value,) + trace.values)
-        if worst > data.s_q + tol:
+        if worst > data.s_q + SANDWICH_TOL:
             rep.gradient_failures.append(
                 f"{label}: search trace value {worst:.8f} exceeds s_Q = {data.s_q:.8f}"
             )

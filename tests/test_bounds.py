@@ -186,7 +186,7 @@ class TestLowerBoundFixtures:
     def test_cubic_moment_matches_edge_loop_exactly(self, corpus):
         def loop_reference(g):
             p = GraphData(g).profile
-            deg = p.degrees
+            deg = g.degrees
             ratio = float((deg**3).sum() + (deg * p.d2).sum()) / p.m1
             y = None
             for u, v in g.edges:

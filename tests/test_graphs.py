@@ -1,11 +1,12 @@
 """Graph construction, named families, seeded generation, edge-list I/O."""
 
+import random
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from slq import (
     EdgeListError,
@@ -21,9 +22,10 @@ from slq import (
     read_edge_list,
     write_edge_list,
 )
+from slq.combinatorics import independence_number, vertex_bipartiteness
 from slq.graphs import _prufer_tree_edges
 from slq.rng import SplitMix64
-from slq.validation import small_connected_sample
+from slq.validation import small_connected_sample, standard_corpus
 
 # strategy: (n, m, seed) triples that always admit a connected graph
 connected_specs = st.integers(2, 12).flatmap(
@@ -35,12 +37,145 @@ connected_specs = st.integers(2, 12).flatmap(
 )
 
 
+def reference_build_graph(n, edges, allow_isolated=False):
+    """The loop builder, kept as the reference: each edge in input order is
+    unpacked, checked and canonicalized in Python.  Returns the canonical
+    edges and the degrees as tuples of ints."""
+    if not isinstance(n, (int, np.integer)) or isinstance(n, bool):
+        raise GraphError("vertex count must be an integer")
+    n = int(n)
+    if n < 1:
+        raise GraphError("vertex count must be at least 1")
+    canon = []
+    seen = set()
+    for e in edges:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise GraphError(f"edge {e!r} is not a pair") from None
+        u, v = int(u), int(v)
+        if u == v:
+            raise GraphError(f"loop at vertex {u} is not allowed")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
+        if u > v:
+            u, v = v, u
+        if (u, v) in seen:
+            raise GraphError(f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+        canon.append((u, v))
+    canon.sort()
+    deg = [0] * n
+    for u, v in canon:
+        deg[u] += 1
+        deg[v] += 1
+    if not allow_isolated:
+        for v in range(n):
+            if deg[v] == 0:
+                raise GraphError(
+                    f"vertex {v} is isolated; pass allow_isolated=True to admit it"
+                )
+    return tuple(canon), tuple(deg)
+
+
+def build_outcome(build, n, edges, allow_isolated=False):
+    """(edges, degrees) of a successful build, or the GraphError message."""
+    try:
+        result = build(n, edges, allow_isolated=allow_isolated)
+    except GraphError as exc:
+        return str(exc)
+    if isinstance(result, tuple):
+        return result
+    return result.edges, tuple(result.degrees.tolist())
+
+
+def assert_builds_match_reference(n, edges, allow_isolated=False):
+    got = build_outcome(build_graph, n, edges, allow_isolated)
+    assert got == build_outcome(reference_build_graph, n, edges, allow_isolated), (n, edges)
+    return got
+
+
+# bad edge lists: pairs inside 0..n-1 (loops and repeats among them), with
+# up to two entries inserted that have negative endpoints, endpoints >= n up
+# to 2**70, or are not pairs
+in_range_lists = st.integers(1, 8).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=12),
+    )
+)
+endpoints = st.one_of(st.integers(-3, 10), st.sampled_from([2**70, -(2**70)]))
+entries = st.one_of(
+    st.tuples(endpoints, endpoints),
+    st.tuples(st.integers(0, 9)),
+    st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9)),
+)
+
+
+class TestBuildGraphReference:
+    def test_corpus_edge_lists_shuffled_and_reversed(self):
+        rng = random.Random(8101)
+        for label, g in tuple(standard_corpus()) + tuple(small_connected_sample()):
+            shuffled = list(g.edges)
+            rng.shuffle(shuffled)
+            reversed_ = [(v, u) for u, v in reversed(g.edges)]
+            for edges in (shuffled, reversed_):
+                for allow_isolated in (False, True):
+                    got = assert_builds_match_reference(g.n, edges, allow_isolated)
+                    if allow_isolated:
+                        assert got[0] == g.edges, label
+
+    @settings(max_examples=300)
+    @given(in_range_lists, st.lists(entries, max_size=2), st.data())
+    def test_bad_lists(self, spec, bad, data):
+        n, edges = spec
+        for entry in bad:
+            edges.insert(data.draw(st.integers(0, len(edges))), entry)
+        if edges and data.draw(st.booleans()):
+            # a reversed copy of an earlier entry
+            i = data.draw(st.integers(0, len(edges) - 1))
+            edges.insert(data.draw(st.integers(i + 1, len(edges))), edges[i][::-1])
+        assert_builds_match_reference(n, edges, data.draw(st.booleans()))
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            [(0, 1), (1, 0)],
+            [(0, 1), (1,), (2, 2)],
+            [(2, 2), (1,)],
+            [(0, 1), (0, 1, 2)],
+            [(0, 2**70), (1,)],
+            [(0, 1), (3, 2**70), (1, 0)],
+            [(0, 1), (1, 0), (3, 2**70)],
+            [(1, -1)],
+            [()],
+            [5],
+            [],
+        ],
+    )
+    def test_examples(self, edges):
+        assert_builds_match_reference(4, edges, allow_isolated=True)
+
+    def test_oracles_exact_past_63_vertices(self):
+        # the oracles use g.edges as bit positions: a numpy int64 endpoint
+        # would wrap 1 << v at v >= 63
+        star = generate_named("star", 69)
+        assert independence_number(star, limit=70) == 69
+        # vertex bipartiteness runs on G x K2, 82 mask bits here
+        assert vertex_bipartiteness(generate_named("cycle", 41), limit=41) == 1
+        assert all(type(x) is int for e in star.edges for x in e)
+        assert star.edge_array.dtype == star.degrees.dtype == np.int64
+        with pytest.raises(ValueError):
+            star.edge_array[0, 0] = 2
+        with pytest.raises(ValueError):
+            star.degrees[0] = 2
+
+
 class TestBuildGraph:
     def test_canonical_edge_order(self):
         g = build_graph(4, [(3, 1), (0, 2), (1, 0)])
         assert g.edges == ((0, 1), (0, 2), (1, 3))
-        assert g.degrees == (2, 2, 1, 1)
-        assert g.neighbors[0] == (1, 2)
+        assert g.degrees.tolist() == [2, 2, 1, 1]
 
     def test_rejects_loop(self):
         with pytest.raises(GraphError, match="loop"):
@@ -58,7 +193,7 @@ class TestBuildGraph:
         with pytest.raises(GraphError, match="isolated"):
             build_graph(3, [(0, 1)])
         g = build_graph(3, [(0, 1)], allow_isolated=True)
-        assert g.degrees == (1, 1, 0)
+        assert g.degrees.tolist() == [1, 1, 0]
 
     def test_rejects_bad_vertex_count(self):
         with pytest.raises(GraphError):
@@ -75,7 +210,7 @@ class TestNamedFamilies:
     def test_path(self):
         g = generate_named("path", 5)
         assert (g.n, g.m) == (5, 4)
-        assert g.degrees == (1, 2, 2, 2, 1)
+        assert g.degrees.tolist() == [1, 2, 2, 2, 1]
 
     def test_cycle(self):
         g = generate_named("cycle", 6)
@@ -92,19 +227,19 @@ class TestNamedFamilies:
     def test_star_center_zero(self):
         g = generate_named("star", 4)
         assert (g.n, g.m) == (5, 4)
-        assert g.degrees == (4, 1, 1, 1, 1)
+        assert g.degrees.tolist() == [4, 1, 1, 1, 1]
 
     def test_complete_bipartite(self):
         g = generate_named("complete_bipartite", (2, 3))
         assert (g.n, g.m) == (5, 6)
-        assert g.degrees == (3, 3, 2, 2, 2)
+        assert g.degrees.tolist() == [3, 3, 2, 2, 2]
         ok, parts = is_bipartite(g)
         assert ok
 
     def test_kn1uk1(self):
         g = generate_named("kn1uk1", 6)
         assert (g.n, g.m) == (6, 10)
-        assert g.degrees == (4, 4, 4, 4, 4, 0)
+        assert g.degrees.tolist() == [4, 4, 4, 4, 4, 0]
         assert not is_connected(g)
 
     def test_unknown_family(self):
@@ -117,6 +252,11 @@ class TestNamedFamilies:
         assert g.n == n
         assert set(g.degrees) == {k}
         assert is_connected(g)
+        # the loop construction, kept as the reference
+        ends = [(i, (i + j) % n) for j in range(1, k // 2 + 1) for i in range(n)]
+        if k % 2:
+            ends += [(i, i + n // 2) for i in range(n // 2)]
+        assert g.edges == tuple(sorted({(min(e), max(e)) for e in ends}))
 
     def test_circulant_rejects_odd_product(self):
         with pytest.raises(GraphError):
@@ -232,8 +372,9 @@ class TestSplitMix64:
 
 class TestDegreeProfile:
     def test_path4_profile(self):
-        p = degree_profile(generate_named("path", 4))
-        assert list(p.degrees) == [1, 2, 2, 1]
+        g = generate_named("path", 4)
+        p = degree_profile(g)
+        assert list(g.degrees) == [1, 2, 2, 1]
         assert (p.delta, p.Delta) == (1, 2)
         assert p.m1 == 10
         assert p.avg == pytest.approx(1.5)
@@ -244,13 +385,13 @@ class TestDegreeProfile:
         n, m, seed = spec
         g = generate_random_connected(n, m, seed)
         p = degree_profile(g)
-        assert int(p.degrees.sum()) == 2 * m
-        assert p.m1 == int((p.degrees**2).sum())
+        assert int(g.degrees.sum()) == 2 * m
+        assert p.m1 == int((g.degrees**2).sum())
         # d2 equals the adjacency matrix applied to the degree vector
         a = np.zeros((n, n))
         for u, v in g.edges:
             a[u, v] = a[v, u] = 1
-        assert np.array_equal(p.d2, (a @ p.degrees).astype(np.int64))
+        assert np.array_equal(p.d2, (a @ g.degrees).astype(np.int64))
 
 
 class TestBipartiteness:

@@ -105,6 +105,17 @@ class TestMatrices:
             oriented_incidence_matrix(g, [1, 2])
 
 
+def reference_line_graph_edges(g):
+    """The loop line graph, kept as the reference: every pair of edges at
+    each vertex."""
+    incident = [[] for _ in range(g.n)]
+    for e, (u, v) in enumerate(g.edges):
+        incident[u].append(e)
+        incident[v].append(e)
+    pairs = {(a, b) for lst in incident for i, a in enumerate(lst) for b in lst[i + 1:]}
+    return tuple(sorted(pairs))
+
+
 class TestLineGraph:
     def test_path_line_is_shorter_path(self):
         lg = line_graph(generate_named("path", 4))
@@ -125,6 +136,7 @@ class TestLineGraph:
         lg = line_graph(g)
         assert lg.n == g.m
         assert lg.m == sum(d * (d - 1) // 2 for d in g.degrees)
+        assert lg.edges == reference_line_graph_edges(g)
 
     @given(connected_specs)
     def test_signless_eigenvalues_shift_to_line_graph(self, spec):
