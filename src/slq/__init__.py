@@ -60,10 +60,13 @@ from .minmax import (
 from .rng import SplitMix64
 from .spectra import (
     EigensolverError,
+    Extremes,
     Spectrum,
     SpreadReport,
     adjacency_matrix,
     eigenvalues,
+    extreme_eigenvalues,
+    graph_matrix,
     incidence_matrix,
     laplacian_matrix,
     line_graph,

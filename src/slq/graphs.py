@@ -45,6 +45,34 @@ class Graph:
     def edges(self) -> tuple:
         return tuple(map(tuple, self.edge_array.tolist()))
 
+    @cached_property
+    def _two_coloring(self):
+        """Breadth-first two-coloring of each component from its smallest
+        vertex: the read-only color array and the number of components."""
+        ends = self.edge_array.ravel()
+        # a stable sort lists the edges at each vertex in lexicographic
+        # order, so its neighbours come out ascending
+        tips = ends[np.argsort(ends, kind="stable") ^ 1].tolist()
+        stops = np.cumsum(self.degrees).tolist()
+        neighbors = [tips[a:b] for a, b in zip([0] + stops, stops)]
+        color = [-1] * self.n
+        components = 0
+        for start in range(self.n):
+            if color[start] != -1:
+                continue
+            components += 1
+            color[start] = 0
+            queue = [start]
+            for u in queue:  # grows while it is read: first in, first out
+                other = 1 - color[u]
+                for v in neighbors[u]:
+                    if color[v] == -1:
+                        color[v] = other
+                        queue.append(v)
+        color = np.array(color)
+        color.flags.writeable = False
+        return color, components
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and np.array_equal(
             self.edge_array, other.edge_array
@@ -249,13 +277,12 @@ class DegreeProfile:
 
     delta: int
     Delta: int
-    avg: float
     m1: int
     d2: np.ndarray
 
 
 def degree_profile(g: Graph) -> DegreeProfile:
-    """Degrees, extremes, average 2m/n, first Zagreb index, and d2 = A d."""
+    """Degree extremes, first Zagreb index, and d2 = A d."""
     deg = g.degrees
     u, v = g.edge_array.T
     d2 = np.zeros(g.n, dtype=np.int64)
@@ -264,46 +291,19 @@ def degree_profile(g: Graph) -> DegreeProfile:
     return DegreeProfile(
         delta=int(deg.min()),
         Delta=int(deg.max()),
-        avg=2.0 * g.m / g.n,
         m1=int((deg * deg).sum()),
         d2=d2,
     )
 
 
-def _two_coloring(g: Graph):
-    """Breadth-first two-coloring of each component from its smallest
-    vertex: the color array and the number of components."""
-    ends = g.edge_array.ravel()
-    # a stable sort lists the edges at each vertex in lexicographic order,
-    # so its neighbours come out ascending
-    tips = ends[np.argsort(ends, kind="stable") ^ 1].tolist()
-    stops = np.cumsum(g.degrees).tolist()
-    neighbors = [tips[a:b] for a, b in zip([0] + stops, stops)]
-    color = [-1] * g.n
-    components = 0
-    for start in range(g.n):
-        if color[start] != -1:
-            continue
-        components += 1
-        color[start] = 0
-        queue = [start]
-        for u in queue:  # grows while it is read: first in, first out
-            other = 1 - color[u]
-            for v in neighbors[u]:
-                if color[v] == -1:
-                    color[v] = other
-                    queue.append(v)
-    return np.array(color), components
-
-
 def is_connected(g: Graph) -> bool:
     """True when breadth-first search finds a single component."""
-    return _two_coloring(g)[1] == 1
+    return g._two_coloring[1] == 1
 
 
 def is_bipartite(g: Graph):
     """Two-color by BFS.  Returns (True, (part0, part1)) or (False, None)."""
-    color = _two_coloring(g)[0]
+    color = g._two_coloring[0]
     u, v = g.edge_array.T
     if (color[u] == color[v]).any():
         return False, None

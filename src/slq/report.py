@@ -32,7 +32,7 @@ from .graphs import (
     read_edge_list,
 )
 from .minmax import gradient_search
-from .spectra import adjacency_matrix, eigenvalues, laplacian_matrix, signless_laplacian_matrix
+from .spectra import eigenvalues, graph_matrix, signless_laplacian_matrix
 from .validation import classify, printed_form_excluded
 
 # paper-style column order; any further selected bounds follow sorted by name
@@ -269,14 +269,11 @@ def run_spectrum(spec: str, config: RunConfig, matrix: str = "signless") -> str:
     """Eigenvalues of the chosen graph matrix, descending, 17 significant
     digits, one per line (CSV: index,value rows)."""
     label, g = parse_graph_spec(spec, default_seed=config.seed)
-    build = {
-        "adjacency": adjacency_matrix,
-        "laplacian": laplacian_matrix,
-        "signless": signless_laplacian_matrix,
-    }
-    if matrix not in build:
-        raise GraphSpecError(f"unknown matrix kind {matrix!r}")
-    values = eigenvalues(build[matrix](g)).values
+    try:
+        w = graph_matrix(g, matrix)
+    except ValueError:
+        raise GraphSpecError(f"unknown matrix kind {matrix!r}") from None
+    values = eigenvalues(w).values
     if config.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -9,6 +9,8 @@ built from it are reproducible byte for byte.
 
 from __future__ import annotations
 
+import numpy as np
+
 MASK64 = (1 << 64) - 1
 
 _WEYL = 0x9E3779B97F4A7C15
@@ -53,3 +55,12 @@ class SplitMix64:
             j = i + self.below(n - i)
             items[i], items[j] = items[j], items[i]
         return items
+
+
+def splitmix64_stream(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` outputs of ``SplitMix64(seed).next_uint64()``,
+    computed at once as uint64 (numpy's uint64 arithmetic wraps mod 2^64)."""
+    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_WEYL) + np.uint64(seed & MASK64)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))

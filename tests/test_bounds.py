@@ -365,7 +365,7 @@ class TestApplicabilityAndOptions:
 
     def test_graphdata_caches_spectra(self):
         d = GraphData(generate_named("cycle", 6))
-        assert d.q_values is d.q_values
+        assert d.q_extremes is d.q_extremes
         assert d.profile is d.profile
 
 

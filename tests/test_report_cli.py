@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from slq import bounds, generate_named, generate_random_connected, write_edge_list
+from slq import generate_named, generate_random_connected, spectra, write_edge_list
 from slq.bounds import CatalogOptions, evaluate_catalog
 from slq.combinatorics import VB_LIMIT
 from slq.cli import main
@@ -379,7 +379,8 @@ class TestCliMain:
 
 class TestLazySpectra:
     """Spectra are solved only where an entry or the violation rule reads
-    them; counted by replacing the eigensolver the catalog context calls."""
+    them; counted by replacing the eigensolver that the extremes of the
+    catalog context fall back to."""
 
     @pytest.fixture
     def eig_calls(self, monkeypatch):
@@ -389,7 +390,7 @@ class TestLazySpectra:
             calls.append(len(w))
             return eigenvalues(w)
 
-        monkeypatch.setattr(bounds, "eigenvalues", counting)
+        monkeypatch.setattr(spectra, "eigenvalues", counting)
         return calls
 
     def test_default_row_solves_only_q(self, eig_calls):

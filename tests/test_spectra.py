@@ -26,7 +26,9 @@ from slq import (
     signless_laplacian_matrix,
     spread_report,
 )
+from slq import spectra
 from slq.rng import SplitMix64
+from slq.validation import standard_corpus
 
 connected_specs = st.integers(2, 10).flatmap(
     lambda n: st.tuples(
@@ -246,3 +248,120 @@ class TestSpreadReport:
         r = spread_report(g)
         assert r.qn >= -1e-9
         assert r.s_q >= 0.0 and r.s_l >= 0.0 and r.s >= 0.0
+
+
+def reference_extremes(g, matrix):
+    """(top, bottom, tolerance) from np.linalg.eigvalsh on the dense matrix;
+    the bottom of the Laplacian is mu_{n-1}.  The tolerance is the
+    reference's own rounding error, 10 n eps max(1, |top|, |bottom|)."""
+    values = np.linalg.eigvalsh(spectra.graph_matrix(g, matrix))
+    top, bottom = values[-1], values[1 if matrix == "laplacian" else 0]
+    scale = max(1.0, abs(top), abs(bottom))
+    return top, bottom, 10 * g.n * np.finfo(float).eps * scale
+
+
+def assert_encloses(found, g, matrix):
+    top, bottom, tol = reference_extremes(g, matrix)
+    scale = max(1.0, abs(top), abs(bottom))
+    assert found.top == pytest.approx(top, rel=0, abs=1e-9 * scale)
+    assert found.bottom == pytest.approx(bottom, rel=0, abs=1e-9 * scale)
+    for (lo, hi), exact in ((found.top_enclosure, top), (found.bottom_enclosure, bottom)):
+        assert lo - tol <= exact <= hi + tol
+        assert lo <= hi and hi - lo <= spectra.RESIDUAL_CONTRACT * scale
+
+
+MATRICES = ("signless", "laplacian", "adjacency")
+
+
+class TestLanczosExtremes:
+    """The Lanczos branch of extreme_eigenvalues, called directly with room
+    for n steps, so that it runs on graphs of every size."""
+
+    @staticmethod
+    def lanczos(g, matrix):
+        found = spectra._lanczos_extremes(g, matrix, g.n)
+        assert found is not None, f"{matrix} extremes of {g!r} not certified"
+        return found
+
+    def test_agrees_with_eigvalsh_on_standard_corpus(self):
+        for label, g in standard_corpus():
+            for matrix in MATRICES:
+                assert_encloses(self.lanczos(g, matrix), g, matrix)
+
+    def test_large_random_graph_takes_the_lanczos_path(self):
+        g = generate_random_connected(600, 6000, seed=3)
+        assert g.n > spectra.DENSE_LIMIT
+        for matrix in MATRICES:
+            found = spectra._lanczos_extremes(g, matrix, spectra.LANCZOS_MAX_STEPS)
+            assert found is not None
+            assert_encloses(found, g, matrix)
+            assert spectra.extreme_eigenvalues(g, matrix).top == found.top
+
+    def test_bipartite_graphs_have_qn_zero(self):
+        rng = np.random.default_rng(5)
+        pairs = rng.choice(300 * 300, size=3000, replace=False)
+        big = build_graph(600, np.stack((pairs // 300, 300 + pairs % 300), axis=1),
+                          allow_isolated=True)
+        graphs = [g for _, g in standard_corpus() if is_bipartite(g)[0]] + [big]
+        assert len(graphs) > 20
+        for g in graphs:
+            found = self.lanczos(g, "signless")
+            assert found.bottom == pytest.approx(0.0, abs=1e-9 * max(1.0, found.top))
+            lo, hi = found.bottom_enclosure
+            assert lo <= 0.0 <= hi
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            build_graph(7, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 6), (6, 3)]),
+            build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4)], allow_isolated=True),
+            build_graph(5, [], allow_isolated=True),
+            build_graph(450, [], allow_isolated=True),
+        ],
+        ids=["disconnected", "isolated-vertex", "edgeless", "edgeless-large"],
+    )
+    def test_disconnected_isolated_and_edgeless(self, g):
+        for matrix in MATRICES:
+            assert_encloses(self.lanczos(g, matrix), g, matrix)
+            assert_encloses(spectra.extreme_eigenvalues(g, matrix), g, matrix)
+
+    @pytest.mark.parametrize("n", [450, 600])
+    def test_path_falls_back_to_the_dense_solve(self, n):
+        g = generate_named("path", n)
+        steps = min(spectra.LANCZOS_MAX_STEPS, n // 5)
+        assert spectra._lanczos_extremes(g, "signless", steps) is None
+        found = spectra.extreme_eigenvalues(g, "signless")
+        dense = eigenvalues(signless_laplacian_matrix(g)).values
+        assert (found.top, found.bottom) == (dense[0], dense[-1])
+        assert_encloses(found, g, "signless")
+
+    def test_top_shifted_down_by_one_is_never_certified(self):
+        for label, g in standard_corpus():
+            q = signless_laplacian_matrix(g)
+            q1 = float(np.linalg.eigvalsh(q)[-1])
+            buffer = np.empty((g.n, g.n))
+            args = (buffer, g, -1.0)
+            entries = (g.degrees.astype(float), 1.0, 0.0, 1.0)
+            assert not spectra._positive_definite(*args, q1 - 1.0, *entries)
+            # the same test proves a bound just above q_1
+            assert spectra._positive_definite(*args, q1 + 1e-6, *entries)
+
+    def test_runs_are_byte_identical(self):
+        g = generate_random_connected(500, 5000, seed=9)
+        for matrix in MATRICES:
+            first, second = (
+                spectra._lanczos_extremes(g, matrix, spectra.LANCZOS_MAX_STEPS)
+                for _ in range(2)
+            )
+            assert first is not None
+            fields = ("top", "bottom", "top_enclosure", "bottom_enclosure")
+            assert [repr(getattr(first, f)) for f in fields] == [
+                repr(getattr(second, f)) for f in fields
+            ]
+
+    def test_small_graphs_keep_the_dense_values(self):
+        for label, g in standard_corpus()[::25]:
+            assert g.n <= spectra.DENSE_LIMIT
+            q = eigenvalues(signless_laplacian_matrix(g)).values
+            found = spectra.extreme_eigenvalues(g)
+            assert (found.top, found.bottom) == (q[0], q[-1])
