@@ -61,12 +61,12 @@ from .rng import SplitMix64
 from .spectra import (
     EigensolverError,
     Extremes,
+    GraphMatrix,
     Spectrum,
     SpreadReport,
     adjacency_matrix,
     eigenvalues,
     extreme_eigenvalues,
-    graph_matrix,
     incidence_matrix,
     laplacian_matrix,
     line_graph,

@@ -23,7 +23,7 @@ from .graphs import Graph, degree_profile, is_connected, is_regular
 from .minmax import SearchConfig
 # eigenvalues stays bound here, unused: the benchmark's tracing test
 # (perfbench/test_perfbench.py) checks that its wrapper reaches this module
-from .spectra import eigenvalues, extreme_eigenvalues, signless_laplacian_matrix  # noqa: F401
+from .spectra import GraphMatrix, eigenvalues, extreme_eigenvalues  # noqa: F401
 
 
 class BoundNotApplicable(ValueError):
@@ -125,16 +125,17 @@ class GraphData:
         return is_regular(self.graph)
 
     @cached_property
-    def q_matrix(self):
-        return signless_laplacian_matrix(self.graph)
+    def q(self) -> GraphMatrix:
+        """The signless Laplacian, shared by s_Q and the sphere bounds."""
+        return GraphMatrix(self.graph, "signless")
 
     @cached_property
     def q_extremes(self):
-        return extreme_eigenvalues(self.graph, "signless")
+        return extreme_eigenvalues(self.q)
 
     @cached_property
     def mu_extremes(self):
-        return extreme_eigenvalues(self.graph, "laplacian")
+        return extreme_eigenvalues(GraphMatrix(self.graph, "laplacian"))
 
     @property
     def s_q(self) -> float:
@@ -150,7 +151,7 @@ class GraphData:
 
     @cached_property
     def lambda1(self) -> float:
-        return extreme_eigenvalues(self.graph, "adjacency").top
+        return extreme_eigenvalues(GraphMatrix(self.graph, "adjacency")).top
 
     @cached_property
     def _vb(self):
@@ -311,17 +312,17 @@ def lb_z2(data: GraphData) -> float:
     """Inverse-cubed-degree minmax bound (reported as Z2)."""
     _require(data.profile.delta >= 1, "needs a graph without isolated vertices")
     deg = data.graph.degrees.astype(np.float64)
-    return minmax.bound_from_vector(data.q_matrix, deg**-3)
+    return minmax.bound_from_vector(data.q.operand, deg**-3)
 
 
 def lb_eta(data: GraphData) -> float:
     """Gradient-search lower bound on s_Q."""
-    return minmax.gradient_search(data.q_matrix, data.options.search).best_value
+    return minmax.gradient_search(data.q.operand, data.options.search).best_value
 
 
 def lb_one_step(data: GraphData) -> float:
     """One projected gradient step from the all-ones vector."""
-    return minmax.one_step_analytic_bound(data.q_matrix, step=data.options.search.step)
+    return minmax.one_step_analytic_bound(data.q.operand, step=data.options.search.step)
 
 
 # ---------------------------------------------------------------------------

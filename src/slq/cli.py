@@ -32,28 +32,30 @@ from .validation import validate_all
 ENV_ORACLE_LIMIT = "SLQ_ORACLE_LIMIT"
 
 
-def _add_common_flags(sub: argparse.ArgumentParser):
-    sub.add_argument(
-        "--oracle-limit",
-        type=int,
-        default=None,
-        metavar="N",
-        help="cap every exact oracle at N vertices "
-        f"(defaults: alpha {ALPHA_LIMIT}, vertex bipartiteness {VB_LIMIT}, "
-        f"edge bipartiteness {EB_LIMIT}; env {ENV_ORACLE_LIMIT})",
-    )
-    sub.add_argument("--iters", type=int, default=SearchConfig.iterations, metavar="K",
-                     help="gradient-search iterations (default %(default)s)")
-    sub.add_argument("--step", type=float, default=SearchConfig.step, metavar="S",
-                     help="gradient-search step size (default %(default)s)")
-    sub.add_argument("--step-mode", choices=("constant", "decreasing"),
-                     default=SearchConfig.step_mode, help="step schedule: s or s/sqrt(k)")
-    sub.add_argument("--format", choices=("csv", "text"), default=RunConfig.fmt,
-                     dest="fmt", help="output format (default %(default)s)")
-    sub.add_argument("--seed", type=int, default=None, metavar="U64",
-                     help="default seed for rand: specs without seed=")
-    sub.add_argument("--precision", type=int, default=RunConfig.precision, metavar="D",
-                     help="decimals in text output (default %(default)s)")
+def _add_flags(sub: argparse.ArgumentParser, *names: str):
+    """Add the named flags; each subcommand takes only the ones it reads."""
+    specs = {
+        "--oracle-limit": dict(
+            type=int, default=None, metavar="N",
+            help="cap every exact oracle at N vertices "
+            f"(defaults: alpha {ALPHA_LIMIT}, vertex bipartiteness {VB_LIMIT}, "
+            f"edge bipartiteness {EB_LIMIT}; env {ENV_ORACLE_LIMIT})",
+        ),
+        "--iters": dict(type=int, default=SearchConfig.iterations, metavar="K",
+                        help="gradient-search iterations (default %(default)s)"),
+        "--step": dict(type=float, default=SearchConfig.step, metavar="S",
+                       help="gradient-search step size (default %(default)s)"),
+        "--step-mode": dict(choices=("constant", "decreasing"), default=SearchConfig.step_mode,
+                            help="step schedule: s or s/sqrt(k)"),
+        "--format": dict(choices=("csv", "text"), default=RunConfig.fmt, dest="fmt",
+                         help="output format (default %(default)s)"),
+        "--seed": dict(type=int, default=None, metavar="U64",
+                       help="default seed for rand: specs without seed="),
+        "--precision": dict(type=int, default=RunConfig.precision, metavar="D",
+                            help="decimals in text output (default %(default)s)"),
+    }
+    for name in names:
+        sub.add_argument(name, **specs[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,6 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Signless Laplacian spread: exact values and bound catalogs.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    search = ("--iters", "--step", "--step-mode")
 
     p_table = subs.add_parser(
         "table", help="bounds vs exact spread, one row per graph"
@@ -75,31 +78,31 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated catalog names, or 'all' "
         f"(default: {','.join(DEFAULT_BOUNDS)})",
     )
-    _add_common_flags(p_table)
-    p_table.set_defaults(func=_cmd_table)
+    _add_flags(p_table, "--oracle-limit", *search, "--format", "--seed", "--precision")
+    p_table.set_defaults(func=_cmd_table, command_parser=p_table)
 
     p_val = subs.add_parser(
         "validate", help="run the validation suite over the built-in corpus"
     )
-    _add_common_flags(p_val)
-    p_val.set_defaults(func=_cmd_validate)
+    _add_flags(p_val, "--oracle-limit", *search)
+    p_val.set_defaults(func=_cmd_validate, command_parser=p_val)
 
     p_trace = subs.add_parser("trace", help="gradient-search trace for one graph")
     p_trace.add_argument("source", metavar="GRAPH")
-    _add_common_flags(p_trace)
-    p_trace.set_defaults(func=_cmd_trace)
+    _add_flags(p_trace, *search, "--format", "--seed", "--precision")
+    p_trace.set_defaults(func=_cmd_trace, command_parser=p_trace)
 
     p_spec = subs.add_parser("spectrum", help="eigenvalues of a graph matrix")
     p_spec.add_argument("source", metavar="GRAPH")
     p_spec.add_argument("--matrix", choices=("adjacency", "laplacian", "signless"),
                         default="signless", help="which matrix (default signless)")
-    _add_common_flags(p_spec)
-    p_spec.set_defaults(func=_cmd_spectrum)
+    _add_flags(p_spec, "--format", "--seed")
+    p_spec.set_defaults(func=_cmd_spectrum, command_parser=p_spec)
 
     p_inv = subs.add_parser("invariants", help="degree and oracle invariants")
     p_inv.add_argument("source", metavar="GRAPH")
-    _add_common_flags(p_inv)
-    p_inv.set_defaults(func=_cmd_invariants)
+    _add_flags(p_inv, "--oracle-limit", "--format", "--seed")
+    p_inv.set_defaults(func=_cmd_invariants, command_parser=p_inv)
 
     return parser
 
@@ -122,22 +125,28 @@ def _oracle_limit(args):
     return limit
 
 
-def _run_config(args, bounds=None) -> RunConfig:
-    oracle_limit = _oracle_limit(args)
-    if args.precision < 0:
+def _run_config(args, bounds=DEFAULT_BOUNDS) -> RunConfig:
+    """The run settings from the flags the subcommand accepts; the rest
+    keep their defaults."""
+    flags = vars(args)
+    oracle_limit = _oracle_limit(args) if "oracle_limit" in flags else None
+    precision = flags.get("precision", RunConfig.precision)
+    if precision < 0:
         raise GraphSpecError("--precision must be at least 0")
-    try:
-        search = SearchConfig(
-            iterations=args.iters, step=args.step, step_mode=args.step_mode
-        )
-    except ValueError as exc:
-        raise GraphSpecError(str(exc)) from None
+    search = SearchConfig()
+    if "iters" in flags:
+        try:
+            search = SearchConfig(
+                iterations=args.iters, step=args.step, step_mode=args.step_mode
+            )
+        except ValueError as exc:
+            raise GraphSpecError(str(exc)) from None
     return RunConfig(
-        sources=tuple(getattr(args, "sources", ())) or (getattr(args, "source", ""),),
-        bounds=bounds if bounds is not None else DEFAULT_BOUNDS,
-        fmt=args.fmt,
-        precision=args.precision,
-        seed=args.seed,
+        sources=tuple(flags.get("sources", ())) or (flags.get("source", ""),),
+        bounds=bounds,
+        fmt=flags.get("fmt", RunConfig.fmt),
+        precision=precision,
+        seed=flags.get("seed"),
         catalog=CatalogOptions(oracle_limit=oracle_limit, search=search),
     )
 
@@ -200,8 +209,9 @@ def _cmd_invariants(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # refused by the subcommand's own usage
+        args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
     except (GraphSpecError, GraphError) as exc:

@@ -33,9 +33,12 @@ def unit_vector(v) -> np.ndarray:
     return v / norm
 
 
-def _as_matrix(w) -> np.ndarray:
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+def _as_matrix(w):
+    """w as a float array, or w itself when it is a graph matrix operator
+    (spectra.GraphMatrix), whose ``@`` is the O(n + m) product."""
+    if not hasattr(w, "graph"):
+        w = np.asarray(w, dtype=np.float64)
+    if len(w.shape) != 2 or w.shape[0] != w.shape[1]:
         raise ValueError("matrix must be square")
     return w
 
@@ -50,9 +53,12 @@ def f_value(w, x) -> float:
     w = _as_matrix(w)
     x = np.asarray(x, dtype=np.float64)
     _check_unit(x)
-    wx = w @ x
-    r = wx - (x @ wx) * x
-    return 2.0 * float(np.linalg.norm(r))
+    return _f(x, w @ x)
+
+
+def _f(x, wx) -> float:
+    """f(x) read from wx = W x."""
+    return 2.0 * float(np.linalg.norm(wx - (x @ wx) * x))
 
 
 def f_value_quadratic(w, x) -> float:
@@ -86,8 +92,26 @@ def grad_f_squared(w, x) -> np.ndarray:
     """Ambient gradient of f(x)^2 = 4(x'W^2x - (x'Wx)^2): 8W^2x - 16(x'Wx)Wx."""
     w = _as_matrix(w)
     x = np.asarray(x, dtype=np.float64)
-    wx = w @ x
+    return _gradient(w, x, w @ x)
+
+
+def _gradient(w, x, wx) -> np.ndarray:
+    """The ambient f^2 gradient read from wx = W x."""
     return 8.0 * (w @ wx) - 16.0 * float(x @ wx) * wx
+
+
+def _tangent_step(w, x, wx, step: float):
+    """Unit x moved by ``step`` along the unit tangential component of the
+    f^2 gradient (the radial part only rescales x) and renormalized, with
+    W times it; None when that component vanishes, so x is stationary."""
+    g = _gradient(w, x, wx)
+    tang = g - (g @ x) * x
+    tnorm = float(np.linalg.norm(tang))
+    if tnorm <= STATIONARY_TOL * max(1.0, float(np.linalg.norm(g))):
+        return None
+    x = x + step * (tang / tnorm)
+    x /= np.linalg.norm(x)
+    return x, w @ x
 
 
 def numerical_grad_f_squared(w, x, h: float = 1e-6) -> np.ndarray:
@@ -154,35 +178,30 @@ def gradient_search(w, config: Optional[SearchConfig] = None) -> SearchTrace:
     cfg = config or SearchConfig()
     n = w.shape[0]
     x = np.full(n, 1.0 / np.sqrt(n))
-    initial = f_value(w, x)
+    wx = w @ x
+    initial = _f(x, wx)
     best = initial
     best_x = x.copy()
     best_iter = 0
 
-    g = grad_f_squared(w, x)
-    tang = g - (g @ x) * x
-    perturbed = False
-    if float(np.linalg.norm(tang)) <= STATIONARY_TOL * max(1.0, float(np.linalg.norm(g))):
-        x = x.copy()
+    perturbed = _tangent_step(w, x, wx, cfg.step) is None
+    if perturbed:
         x[0] += 1e-3
         x /= np.linalg.norm(x)
-        perturbed = True
+        wx = w @ x
 
     values = []
     stagnated_at = None
     for k in range(1, cfg.iterations + 1):
-        g = grad_f_squared(w, x)
-        tang = g - (g @ x) * x
-        tnorm = float(np.linalg.norm(tang))
-        if tnorm <= STATIONARY_TOL * max(1.0, float(np.linalg.norm(g))):
+        step = cfg.step if cfg.step_mode == "constant" else cfg.step / np.sqrt(k)
+        moved = _tangent_step(w, x, wx, step)
+        if moved is None:
             if stagnated_at is None:
                 stagnated_at = k
-            values.append(f_value(w, x))
+            values.append(_f(x, wx))
             continue
-        step = cfg.step if cfg.step_mode == "constant" else cfg.step / np.sqrt(k)
-        x = x + step * (tang / tnorm)
-        x /= np.linalg.norm(x)
-        val = f_value(w, x)
+        x, wx = moved
+        val = _f(x, wx)
         values.append(val)
         if val > best:
             best = val
@@ -247,10 +266,6 @@ def one_step_analytic_bound(w, step: float) -> float:
     w = _as_matrix(w)
     n = w.shape[0]
     x = np.full(n, 1.0 / np.sqrt(n))
-    g_vec = grad_f_squared(w, x)
-    tang = g_vec - (g_vec @ x) * x
-    tnorm = float(np.linalg.norm(tang))
-    if tnorm > STATIONARY_TOL * max(1.0, float(np.linalg.norm(g_vec))):
-        x = x + step * (tang / tnorm)
-        x /= np.linalg.norm(x)
-    return f_value(w, x)
+    wx = w @ x
+    x, wx = _tangent_step(w, x, wx, step) or (x, wx)
+    return _f(x, wx)

@@ -32,7 +32,7 @@ from .graphs import (
     read_edge_list,
 )
 from .minmax import gradient_search
-from .spectra import eigenvalues, graph_matrix, signless_laplacian_matrix
+from .spectra import GraphMatrix, eigenvalues
 from .validation import classify, printed_form_excluded
 
 # paper-style column order; any further selected bounds follow sorted by name
@@ -234,7 +234,7 @@ def run_trace(spec: str, config: RunConfig) -> str:
     label, g = parse_graph_spec(spec, default_seed=config.seed)
     if g.n < 2:
         raise GraphSpecError(f"trace needs at least 2 vertices, {label} has {g.n}")
-    trace = gradient_search(signless_laplacian_matrix(g), config.catalog.search)
+    trace = gradient_search(GraphMatrix(g, "signless").operand, config.catalog.search)
     iters = list(range(1, len(trace.values) + 1))
     notes = [
         f"graph = {label}",
@@ -270,10 +270,10 @@ def run_spectrum(spec: str, config: RunConfig, matrix: str = "signless") -> str:
     digits, one per line (CSV: index,value rows)."""
     label, g = parse_graph_spec(spec, default_seed=config.seed)
     try:
-        w = graph_matrix(g, matrix)
+        w = GraphMatrix(g, matrix)
     except ValueError:
         raise GraphSpecError(f"unknown matrix kind {matrix!r}") from None
-    values = eigenvalues(w).values
+    values = eigenvalues(w.dense).values
     if config.fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")

@@ -10,6 +10,7 @@ matrix's extreme eigenvalues, and the three spread invariants s
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,13 +35,58 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 
 def laplacian_matrix(g: Graph) -> np.ndarray:
-    a = adjacency_matrix(g)
-    return np.diag(g.degrees) - a
+    return GraphMatrix(g, "laplacian").dense
 
 
 def signless_laplacian_matrix(g: Graph) -> np.ndarray:
-    a = adjacency_matrix(g)
-    return np.diag(g.degrees) + a
+    return GraphMatrix(g, "signless").dense
+
+
+# up to this many vertices a graph matrix is used as its dense array, above
+# it as the O(n + m) operator: the extreme eigenvalues come from the dense
+# eigenvalues() or from Lanczos (the measured crossover, see README)
+DENSE_LIMIT = 400
+
+
+class GraphMatrix:
+    """The adjacency matrix A ("adjacency"), the Laplacian L = D - A
+    ("laplacian") or the signless Laplacian Q = D + A ("signless") of g,
+    plus ``fill`` in every entry (L + J is the Laplacian with fill 1).
+
+    The one statement of a graph matrix's entries: ``diag`` + fill on the
+    diagonal, ``off`` + fill at each edge, fill elsewhere.  ``dense`` is
+    the n x n array, built on first use; ``w @ x`` is always the O(n + m)
+    product over the edge array, with no n x n array.
+    """
+
+    def __init__(self, g: Graph, kind: str = "signless", fill: float = 0.0):
+        if kind not in ("adjacency", "laplacian", "signless"):
+            raise ValueError(f"unknown matrix kind {kind!r}")
+        self.graph, self.kind, self.fill = g, kind, fill
+        self.shape = (g.n, g.n)
+        self.diag = np.zeros(g.n) if kind == "adjacency" else g.degrees.astype(np.float64)
+        self.off = -1.0 if kind == "laplacian" else 1.0
+
+    @cached_property
+    def dense(self) -> np.ndarray:
+        w = np.diag(self.diag) + self.off * adjacency_matrix(self.graph)
+        return w + self.fill if self.fill else w
+
+    @cached_property
+    def _tips(self):
+        """The other end of each entry of the flattened edge array."""
+        return self.graph.edge_array[:, ::-1].ravel()
+
+    def __matmul__(self, x) -> np.ndarray:
+        ends = self.graph.edge_array.ravel()
+        y = self.diag * x + self.off * np.bincount(ends, x[self._tips], self.graph.n)
+        return y + self.fill * x.sum() if self.fill else y
+
+    @property
+    def operand(self):
+        """What to multiply by: the dense array up to DENSE_LIMIT vertices,
+        the operator itself above."""
+        return self.dense if self.graph.n <= DENSE_LIMIT else self
 
 
 def incidence_matrix(g: Graph) -> np.ndarray:
@@ -121,23 +167,9 @@ def eigenvalues(w: np.ndarray) -> Spectrum:
     return Spectrum(values=vals[::-1].copy(), residual_tol=tol)
 
 
-def graph_matrix(g: Graph, matrix: str) -> np.ndarray:
-    """The dense "adjacency", "laplacian" or "signless" matrix of g."""
-    if matrix == "adjacency":
-        return adjacency_matrix(g)
-    if matrix == "laplacian":
-        return laplacian_matrix(g)
-    if matrix == "signless":
-        return signless_laplacian_matrix(g)
-    raise ValueError(f"unknown matrix kind {matrix!r}")
-
-
 # ---------------------------------------------------------------------------
 # certified extreme eigenvalues
 
-# at or below this many vertices the extremes come from the dense
-# eigenvalues(), above it from Lanczos (the measured crossover, see README)
-DENSE_LIMIT = 400
 # Lanczos steps before the dense fallback takes over, and at most n/5
 LANCZOS_MAX_STEPS = 200
 # Lanczos steps before the first convergence test; each later test comes a
@@ -177,30 +209,30 @@ class Extremes:
     bottom_enclosure: tuple
 
 
-def extreme_eigenvalues(g: Graph, matrix: str = "signless") -> Extremes:
-    """Certified top and bottom eigenvalues of the graph's "adjacency",
-    "laplacian" or "signless" matrix.
+def extreme_eigenvalues(w: GraphMatrix) -> Extremes:
+    """Certified top and bottom eigenvalues of the graph matrix w.
 
-    Up to DENSE_LIMIT vertices they are the extremes of the dense
-    eigenvalues(), enclosed by its residual certificate.  Above it they come
+    Up to DENSE_LIMIT vertices they are the extremes of eigenvalues() on
+    ``w.dense``, enclosed by its residual certificate.  Above it they come
     from Lanczos with a Cholesky certificate (see ``_lanczos_extremes``); if
     Lanczos does not converge or the certificate fails, from the dense
     solve after all.  Either way each reported value lies within
     RESIDUAL_CONTRACT * max(1, |top|, |bottom|) of the exact one.
     """
-    if g.n > DENSE_LIMIT:
+    n = w.graph.n
+    if n > DENSE_LIMIT:
         # n/5 steps keep a failed run within about a quarter of the dense
         # solve it falls back to
-        found = _lanczos_extremes(g, matrix, min(LANCZOS_MAX_STEPS, g.n // 5))
+        found = _lanczos_extremes(w, min(LANCZOS_MAX_STEPS, n // 5))
         if found is not None:
             return found
-    spectrum = eigenvalues(graph_matrix(g, matrix))
+    spectrum = eigenvalues(w.dense)
     values, tol = spectrum.values, spectrum.residual_tol
     top = float(values[0])
-    if matrix != "laplacian":
+    if w.kind != "laplacian":
         bottom = float(values[-1])
     else:
-        bottom = float(values[-2]) if g.n > 1 else float("nan")
+        bottom = float(values[-2]) if n > 1 else float("nan")
     return Extremes(
         top=top,
         bottom=bottom,
@@ -209,7 +241,7 @@ def extreme_eigenvalues(g: Graph, matrix: str = "signless") -> Extremes:
     )
 
 
-def _lanczos_extremes(g: Graph, matrix: str, steps: int):
+def _lanczos_extremes(w: GraphMatrix, steps: int):
     """Extremes by Lanczos with full reorthogonalization, or None when the
     run needs more than ``steps`` steps or a certificate fails.
 
@@ -228,20 +260,8 @@ def _lanczos_extremes(g: Graph, matrix: str, steps: int):
         semidefinite (Q, L + J) and theta_n <= delta, the bottom's outer end
         is 0 without a factorization.
     """
-    n = g.n
-    laplacian = matrix == "laplacian"
-    ends = g.edge_array.ravel()
-    tips = ends.reshape(-1, 2)[:, ::-1].ravel()  # the other end of each entry
-    degrees = g.degrees.astype(np.float64)
-    diag = np.zeros(n) if matrix == "adjacency" else degrees
-    off = -1.0 if laplacian else 1.0  # the matrix entry at each edge
-
-    def apply(x):
-        y = np.bincount(ends, x[tips], n)
-        if laplacian:
-            return diag * x - y
-        return diag * x + y
-
+    n = w.graph.n
+    laplacian = w.kind == "laplacian"
     steps = min(steps, n - 1 if laplacian else n)
     if steps < 1:
         return None
@@ -253,16 +273,16 @@ def _lanczos_extremes(g: Graph, matrix: str, steps: int):
     alpha, beta = [], []
     check = _FIRST_CHECK
     for j in range(steps):
-        w = apply(basis[j])
+        r = w @ basis[j]
         # full Gram-Schmidt against the basis, twice; the first pass holds
         # the recurrence coefficient alpha_j
-        coefficients = basis[: j + 1] @ w
-        w -= coefficients @ basis[: j + 1]
-        w -= (basis[: j + 1] @ w) @ basis[: j + 1]
+        coefficients = basis[: j + 1] @ r
+        r -= coefficients @ basis[: j + 1]
+        r -= (basis[: j + 1] @ r) @ basis[: j + 1]
         if laplacian:
-            w -= w.mean()
+            r -= r.mean()
         alpha.append(float(coefficients[j]))
-        beta.append(float(np.sqrt(w @ w)))
+        beta.append(float(np.sqrt(r @ r)))
         k = j + 1
         # beta_j below the contract means an invariant subspace (every
         # residual is at most beta_j and |alpha_j| <= scale); going on would
@@ -277,48 +297,32 @@ def _lanczos_extremes(g: Graph, matrix: str, steps: int):
                 break
             if k == steps:
                 return None
-        basis[k] = w / beta[-1]
+        basis[k] = r / beta[-1]
     y_top, y_bottom = ritz[:, [-1, 0]].T @ basis[:k]
     delta = 0.5 * RESIDUAL_CONTRACT * scale
-    width = RESIDUAL_CONTRACT * scale
     buffer = np.empty((n, n))
-    degree_max = float(degrees.max())
-    # (terms summed per row of the matvec, largest absolute row sum)
-    rows = (degree_max + 3, degree_max if matrix == "adjacency" else 2.0 * degree_max)
-
-    rho, (inner, _) = _rayleigh(apply, y_top, *rows)
-    outer = float(theta[-1]) + delta
-    if not outer - inner <= width:
-        return None
-    if not _positive_definite(buffer, g, -1.0, outer, diag, off, 0.0, delta):
-        return None
-    top, top_enclosure = min(rho, outer), (inner, outer)
-
-    entries, apply_bottom = (diag, off, 0.0), apply
-    if laplacian:  # the bottom is certified on L + J
-
-        def apply_bottom(x):
-            return apply(x) + x.sum()
-
-        entries = (diag + 1.0, 0.0, 1.0)
-        rows = (n + degree_max + 4, float(n))
-    rho, (_, inner) = _rayleigh(apply_bottom, y_bottom, *rows)
-    # Q and L + J are positive semidefinite: near 0 that is the outer end
-    semidefinite = matrix != "adjacency" and theta[0] <= delta
-    outer = 0.0 if semidefinite else float(theta[0]) - delta
-    if not inner - outer <= width:
-        return None
-    if not semidefinite and not _positive_definite(buffer, g, 1.0, outer, *entries, delta):
-        return None
-    return Extremes(
-        top=top,
-        bottom=max(rho, outer),
-        top_enclosure=top_enclosure,
-        bottom_enclosure=(outer, inner),
-    )
+    # the top: (theta_1 + delta) I - W is positive definite (sign -1); the
+    # bottom: W - (theta_n - delta) I is (sign +1), for L on L + J
+    w_bottom = GraphMatrix(w.graph, "laplacian", fill=1.0) if laplacian else w
+    sides = []
+    for sign, v, y, ritz_value in ((-1.0, w, y_top, theta[-1]),
+                                   (1.0, w_bottom, y_bottom, theta[0])):
+        rho, (lo, hi) = _rayleigh(v, y)
+        inner = lo if sign < 0 else hi
+        # Q and L + J are positive semidefinite: near 0 that is the outer end
+        semidefinite = sign > 0 and v.kind != "adjacency" and ritz_value <= delta
+        outer = 0.0 if semidefinite else float(ritz_value) - sign * delta
+        if not sign * (inner - outer) <= RESIDUAL_CONTRACT * scale:
+            return None
+        if not semidefinite and not _positive_definite(buffer, v, sign, outer, delta):
+            return None
+        enclosure = (inner, outer) if sign < 0 else (outer, inner)
+        sides.append(((min if sign < 0 else max)(rho, outer), enclosure))
+    (top, top_enclosure), (bottom, bottom_enclosure) = sides
+    return Extremes(top, bottom, top_enclosure, bottom_enclosure)
 
 
-def _rayleigh(apply, y, terms: float, row_sum: float):
+def _rayleigh(w: GraphMatrix, y):
     """The computed Rayleigh quotient rho of y, and an interval around it
     that holds the exact quotient.
 
@@ -326,19 +330,23 @@ def _rayleigh(apply, y, terms: float, row_sum: float):
     || |W| ||_inf >= |y|^T |W| |y| / y^T y, the computed rho differs from
     the exact quotient by at most 2 gamma_{2n + terms + 2} (|rho| + row_sum):
     gamma_terms from the matvec, gamma_n from each inner product and u from
-    the division, doubled to cover the evaluation of the bound itself.
+    the division, doubled to cover the evaluation of the bound itself.  Both
+    follow from the entries of w.
     """
-    z = apply(y)
+    n, degrees = w.graph.n, w.graph.degrees
+    # a fill adds x.sum(), n more terms, to every row of the product
+    terms = int(degrees.max()) + 3 + (n + 1 if w.fill else 0)
+    rows = abs(w.diag + w.fill) + degrees * abs(w.off + w.fill) + (n - 1 - degrees) * abs(w.fill)
+    row_sum = float(rows.max())
+    z = w @ y
     rho = float(y @ z) / float(y @ y)
-    err = 2.0 * _gamma(2 * len(y) + int(terms) + 2) * (abs(rho) + row_sum)
+    err = 2.0 * _gamma(2 * n + terms + 2) * (abs(rho) + row_sum)
     return rho, (float(_down(rho - err)), float(_up(rho + err)))
 
 
-def _positive_definite(buffer, g: Graph, sign: float, shift: float, diag, off: float,
-                       fill: float, room: float) -> bool:
-    """Prove P = sign * (W - shift I) positive definite, where the symmetric W
-    has diagonal ``diag``, the entry ``off`` at each edge of g and ``fill``
-    elsewhere.  False when the proof fails, or when its margin is not below
+def _positive_definite(buffer, w: GraphMatrix, sign: float, shift: float, room: float) -> bool:
+    """Prove P = sign * (W - shift I) positive definite for the graph matrix
+    w.  False when the proof fails, or when its margin is not below
     ``room``, the distance the caller expects from the spectrum of W to
     ``shift``.
 
@@ -349,7 +357,8 @@ def _positive_definite(buffer, g: Graph, sign: float, shift: float, diag, off: f
     realmin.  B = P - c I is written into ``buffer`` with every diagonal
     entry rounded down, so P >= B + c I; the trace and c are rounded up.
     """
-    n = g.n
+    n = w.graph.n
+    diag = w.diag + w.fill
     gaps = sign * (diag - shift)  # the diagonal of P, up to one rounding
     if not (gaps > 0.0).all():
         return False
@@ -359,10 +368,10 @@ def _positive_definite(buffer, g: Graph, sign: float, shift: float, diag, off: f
     margin *= 1.0 + 8.0 * _UNIT_ROUNDOFF
     if not margin < room:
         return False
-    buffer.fill(sign * fill)
-    u, v = g.edge_array.T
-    buffer[u, v] = sign * off
-    buffer[v, u] = sign * off
+    buffer.fill(sign * w.fill)
+    u, v = w.graph.edge_array.T
+    buffer[u, v] = sign * (w.off + w.fill)
+    buffer[v, u] = sign * (w.off + w.fill)
     if sign < 0:
         buffer[np.diag_indices(n)] = _down(_down(shift - margin) - diag)
     else:
@@ -395,9 +404,9 @@ def spread_report(g: Graph) -> SpreadReport:
     the certified extremes of A, L and Q."""
     if g.n < 2:
         raise GraphError("spread needs at least 2 vertices")
-    a = extreme_eigenvalues(g, "adjacency")
-    mu = extreme_eigenvalues(g, "laplacian")
-    q = extreme_eigenvalues(g, "signless")
+    a = extreme_eigenvalues(GraphMatrix(g, "adjacency"))
+    mu = extreme_eigenvalues(GraphMatrix(g, "laplacian"))
+    q = extreme_eigenvalues(GraphMatrix(g, "signless"))
     return SpreadReport(
         s=a.top - a.bottom,
         s_l=mu.top - mu.bottom,

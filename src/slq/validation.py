@@ -384,7 +384,7 @@ def check_gradients(
     rng = SplitMix64(530001)
     for label, g in sample:
         data = GraphData(g)
-        q = data.q_matrix
+        q = data.q.dense
         x = random_unit_vector(g.n, rng)
         ana = grad_f_squared(q, x)
         num = numerical_grad_f_squared(q, x)

@@ -11,6 +11,7 @@ from conftest import bound
 from hypothesis import given, strategies as st
 
 from slq import (
+    GraphMatrix,
     SearchConfig,
     bound_from_vector,
     f_value,
@@ -27,6 +28,7 @@ from slq import (
 )
 from slq.minmax import inverse_degree_value
 from slq.rng import SplitMix64
+from slq.validation import standard_corpus
 
 connected_specs = st.integers(2, 10).flatmap(
     lambda n: st.tuples(
@@ -264,6 +266,57 @@ class TestGradientSearch:
         with pytest.raises(ValueError, match="step_mode"):
             SearchConfig(step_mode="adaptive")
 
+
+def reference_search(w, cfg):
+    """The search with a fresh product for every f and gradient, three per
+    iteration: the reference that gradient_search must equal bit for bit."""
+    n = w.shape[0]
+    x = np.full(n, 1.0 / np.sqrt(n))
+    best, values, stagnated_at = f_value(w, x), [], None
+    g = grad_f_squared(w, x)
+    tang = g - (g @ x) * x
+    perturbed = float(np.linalg.norm(tang)) <= 1e-9 * max(1.0, float(np.linalg.norm(g)))
+    if perturbed:
+        x = x.copy()
+        x[0] += 1e-3
+        x /= np.linalg.norm(x)
+    for k in range(1, cfg.iterations + 1):
+        g = grad_f_squared(w, x)
+        tang = g - (g @ x) * x
+        tnorm = float(np.linalg.norm(tang))
+        if tnorm <= 1e-9 * max(1.0, float(np.linalg.norm(g))):
+            stagnated_at = stagnated_at or k
+        else:
+            step = cfg.step if cfg.step_mode == "constant" else cfg.step / np.sqrt(k)
+            x = x + step * (tang / tnorm)
+            x /= np.linalg.norm(x)
+        values.append(f_value(w, x))
+        best = max(best, values[-1])
+    return tuple(values), best, perturbed, stagnated_at
+
+
+class TestOneProductPerIterate:
+    def test_search_equals_the_reference_bit_for_bit(self):
+        configs = (SearchConfig(), SearchConfig(iterations=20, step=0.05),
+                   SearchConfig(step_mode="decreasing"))
+        for label, g in standard_corpus()[::5] + (("complete:8", generate_named("complete", 8)),):
+            q = signless_laplacian_matrix(g)
+            for cfg in configs:
+                tr = gradient_search(q, cfg)
+                got = (tr.values, tr.best_value, tr.perturbed, tr.stagnated_at)
+                assert got == reference_search(q, cfg), label
+
+    def test_graph_matrix_operator_agrees_with_the_dense_array(self):
+        rng = SplitMix64(91001)
+        for label, g in standard_corpus()[::10]:
+            w, q = GraphMatrix(g), signless_laplacian_matrix(g)
+            x = random_unit(g.n, rng)
+            for fn in (f_value, f_value_quadratic, bound_from_vector):
+                assert fn(w, x) == pytest.approx(fn(q, x), rel=1e-12, abs=1e-12), label
+            assert np.allclose(grad_f_squared(w, x), grad_f_squared(q, x), rtol=1e-12, atol=1e-12)
+            assert gradient_search(w).values == pytest.approx(gradient_search(q).values, rel=1e-12)
+            assert one_step_analytic_bound(w, 0.1) == pytest.approx(
+                one_step_analytic_bound(q, 0.1), rel=1e-12, abs=1e-12)
 
 class TestOneStep:
     def test_regular_graph_sits_at_stationary_zero(self):

@@ -5,10 +5,10 @@ import math
 import pytest
 
 from slq import generate_named, generate_random_connected, spectra, write_edge_list
-from slq.bounds import CatalogOptions, evaluate_catalog
+from slq.bounds import CatalogOptions, GraphData, evaluate_catalog
 from slq.combinatorics import VB_LIMIT
 from slq.cli import main
-from slq.minmax import SearchConfig
+from slq.minmax import SearchConfig, bound_from_vector, gradient_search, one_step_analytic_bound
 from slq.spectra import eigenvalues
 from slq.report import (
     DEFAULT_BOUNDS,
@@ -24,6 +24,9 @@ from slq.report import (
     run_table,
     run_trace,
 )
+
+ASSEMBLERS = ("adjacency_matrix", "laplacian_matrix", "signless_laplacian_matrix",
+              "incidence_matrix", "oriented_incidence_matrix")
 
 
 class TestParseGraphSpec:
@@ -376,6 +379,29 @@ class TestCliMain:
         assert main(args) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["spectrum", "cycle:4", "--iters", "0"], "--iters"),
+            (["invariants", "cycle:5", "--step", "-1"], "--step"),
+            (["validate", "--format", "csv"], "--format"),
+            (["trace", "cycle:5", "--oracle-limit", "3"], "--oracle-limit"),
+        ],
+    )
+    def test_flags_the_subcommand_does_not_read_are_refused(self, capsys, args, flag):
+        with pytest.raises(SystemExit) as err:
+            main(args)
+        assert err.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"usage: slq {args[0]} ")
+        assert f"slq {args[0]}: error: unrecognized arguments: {flag}" in captured.err
+
+    def test_spectrum_does_not_read_the_oracle_limit_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("SLQ_ORACLE_LIMIT", "abc")
+        assert main(["spectrum", "cycle:4"]) == 0
+        assert len(capsys.readouterr().out.split()) == 4
+
 
 class TestLazySpectra:
     """Spectra are solved only where an entry or the violation rule reads
@@ -406,3 +432,42 @@ class TestLazySpectra:
         assert [o.evaluated for o in outcomes] == [False, False]
         assert all("oracle limit" in o.reason for o in outcomes)
         assert eig_calls == []
+
+
+class TestOneSignlessLaplacian:
+    """GraphData holds one Q for s_Q and the sphere bounds; counted by
+    replacing the dense assemblers."""
+
+    @pytest.fixture
+    def assembled(self, monkeypatch):
+        calls = []
+        for name in ASSEMBLERS:
+            def counting(*args, _real=getattr(spectra, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(spectra, name, counting)
+        return calls
+
+    def test_large_row_builds_no_dense_matrix(self, assembled):
+        g = generate_random_connected(600, 6000, seed=2)
+        assert g.n > spectra.DENSE_LIMIT
+        options = CatalogOptions()
+        row = build_row("g", g, DEFAULT_BOUNDS + ("one_step",), options)
+        assert assembled == []
+        q = spectra.signless_laplacian_matrix(g)
+        deg = g.degrees.astype(float)
+        want = {
+            "eta": gradient_search(q, options.search).best_value,
+            "Z2": bound_from_vector(q, deg**-3),
+            "one_step": one_step_analytic_bound(q, options.search.step),
+        }
+        got = {o.name: o.value for o in row.outcomes if o.name in want}
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_small_graph_assembles_q_once(self, assembled):
+        g = generate_random_connected(30, 80, seed=5)
+        data = GraphData(g)
+        outcomes = evaluate_catalog(data, ("Z2", "eta", "one_step"))
+        assert all(o.evaluated for o in outcomes) and data.s_q > 0
+        assert assembled == ["adjacency_matrix"]

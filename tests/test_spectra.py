@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 from slq import (
     EigensolverError,
+    GraphMatrix,
     adjacency_matrix,
     build_graph,
     eigenvalues,
@@ -250,11 +251,57 @@ class TestSpreadReport:
         assert r.s_q >= 0.0 and r.s_l >= 0.0 and r.s >= 0.0
 
 
+KINDS = (("adjacency", 0.0), ("laplacian", 0.0), ("signless", 0.0), ("laplacian", 1.0))
+
+
+def reference_matrix(g, kind, fill=0.0):
+    """Reference assemblers, independent of GraphMatrix: A from the edge
+    array, L = diag(d) - A, Q = diag(d) + A, plus fill in every entry."""
+    a = np.zeros((g.n, g.n))
+    u, v = g.edge_array.T
+    a[u, v] = 1.0
+    a[v, u] = 1.0
+    w = {"adjacency": a, "laplacian": np.diag(g.degrees) - a,
+         "signless": np.diag(g.degrees) + a}[kind]
+    return w + fill if fill else w
+
+
+class TestGraphMatrix:
+    def test_dense_is_the_reference_bit_for_bit(self):
+        for label, g in standard_corpus():
+            for kind, fill in KINDS:
+                dense = GraphMatrix(g, kind, fill).dense
+                assert dense.dtype == np.float64
+                assert dense.tobytes() == reference_matrix(g, kind, fill).tobytes(), (label, kind)
+            assert laplacian_matrix(g).tobytes() == reference_matrix(g, "laplacian").tobytes()
+            assert signless_laplacian_matrix(g).tobytes() == reference_matrix(g, "signless").tobytes()
+
+    def test_product_agrees_with_the_dense_product(self):
+        rng = SplitMix64(8101)
+        for label, g in standard_corpus():
+            x = np.array([rng.next_uint64() / 2.0**64 - 0.5 for _ in range(g.n)])
+            for kind, fill in KINDS:
+                w = GraphMatrix(g, kind, fill)
+                scale = max(1.0, float(np.abs(w.dense).sum(axis=1).max()))
+                assert np.abs(w @ x - w.dense @ x).max() <= 1e-12 * scale, (label, kind)
+
+    def test_operand_is_dense_up_to_the_limit(self):
+        small = GraphMatrix(generate_named("path", spectra.DENSE_LIMIT))
+        assert small.operand is small.dense
+        large = GraphMatrix(generate_named("path", spectra.DENSE_LIMIT + 1))
+        assert large.operand is large
+        assert "dense" not in vars(large)  # no n x n array was built
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError, match="unknown matrix kind"):
+            GraphMatrix(generate_named("path", 3), "incidence")
+
+
 def reference_extremes(g, matrix):
     """(top, bottom, tolerance) from np.linalg.eigvalsh on the dense matrix;
     the bottom of the Laplacian is mu_{n-1}.  The tolerance is the
     reference's own rounding error, 10 n eps max(1, |top|, |bottom|)."""
-    values = np.linalg.eigvalsh(spectra.graph_matrix(g, matrix))
+    values = np.linalg.eigvalsh(reference_matrix(g, matrix))
     top, bottom = values[-1], values[1 if matrix == "laplacian" else 0]
     scale = max(1.0, abs(top), abs(bottom))
     return top, bottom, 10 * g.n * np.finfo(float).eps * scale
@@ -279,7 +326,7 @@ class TestLanczosExtremes:
 
     @staticmethod
     def lanczos(g, matrix):
-        found = spectra._lanczos_extremes(g, matrix, g.n)
+        found = spectra._lanczos_extremes(GraphMatrix(g, matrix), g.n)
         assert found is not None, f"{matrix} extremes of {g!r} not certified"
         return found
 
@@ -292,10 +339,10 @@ class TestLanczosExtremes:
         g = generate_random_connected(600, 6000, seed=3)
         assert g.n > spectra.DENSE_LIMIT
         for matrix in MATRICES:
-            found = spectra._lanczos_extremes(g, matrix, spectra.LANCZOS_MAX_STEPS)
+            found = spectra._lanczos_extremes(GraphMatrix(g, matrix), spectra.LANCZOS_MAX_STEPS)
             assert found is not None
             assert_encloses(found, g, matrix)
-            assert spectra.extreme_eigenvalues(g, matrix).top == found.top
+            assert spectra.extreme_eigenvalues(GraphMatrix(g, matrix)).top == found.top
 
     def test_bipartite_graphs_have_qn_zero(self):
         rng = np.random.default_rng(5)
@@ -323,14 +370,14 @@ class TestLanczosExtremes:
     def test_disconnected_isolated_and_edgeless(self, g):
         for matrix in MATRICES:
             assert_encloses(self.lanczos(g, matrix), g, matrix)
-            assert_encloses(spectra.extreme_eigenvalues(g, matrix), g, matrix)
+            assert_encloses(spectra.extreme_eigenvalues(GraphMatrix(g, matrix)), g, matrix)
 
     @pytest.mark.parametrize("n", [450, 600])
     def test_path_falls_back_to_the_dense_solve(self, n):
         g = generate_named("path", n)
         steps = min(spectra.LANCZOS_MAX_STEPS, n // 5)
-        assert spectra._lanczos_extremes(g, "signless", steps) is None
-        found = spectra.extreme_eigenvalues(g, "signless")
+        assert spectra._lanczos_extremes(GraphMatrix(g), steps) is None
+        found = spectra.extreme_eigenvalues(GraphMatrix(g))
         dense = eigenvalues(signless_laplacian_matrix(g)).values
         assert (found.top, found.bottom) == (dense[0], dense[-1])
         assert_encloses(found, g, "signless")
@@ -339,18 +386,16 @@ class TestLanczosExtremes:
         for label, g in standard_corpus():
             q = signless_laplacian_matrix(g)
             q1 = float(np.linalg.eigvalsh(q)[-1])
-            buffer = np.empty((g.n, g.n))
-            args = (buffer, g, -1.0)
-            entries = (g.degrees.astype(float), 1.0, 0.0, 1.0)
-            assert not spectra._positive_definite(*args, q1 - 1.0, *entries)
+            args = (np.empty((g.n, g.n)), GraphMatrix(g), -1.0)
+            assert not spectra._positive_definite(*args, q1 - 1.0, 1.0)
             # the same test proves a bound just above q_1
-            assert spectra._positive_definite(*args, q1 + 1e-6, *entries)
+            assert spectra._positive_definite(*args, q1 + 1e-6, 1.0)
 
     def test_runs_are_byte_identical(self):
         g = generate_random_connected(500, 5000, seed=9)
         for matrix in MATRICES:
             first, second = (
-                spectra._lanczos_extremes(g, matrix, spectra.LANCZOS_MAX_STEPS)
+                spectra._lanczos_extremes(GraphMatrix(g, matrix), spectra.LANCZOS_MAX_STEPS)
                 for _ in range(2)
             )
             assert first is not None
@@ -363,5 +408,5 @@ class TestLanczosExtremes:
         for label, g in standard_corpus()[::25]:
             assert g.n <= spectra.DENSE_LIMIT
             q = eigenvalues(signless_laplacian_matrix(g)).values
-            found = spectra.extreme_eigenvalues(g)
+            found = spectra.extreme_eigenvalues(GraphMatrix(g))
             assert (found.top, found.bottom) == (q[0], q[-1])
