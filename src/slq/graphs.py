@@ -205,7 +205,7 @@ def _prufer_tree_edges(n: int, rng: SplitMix64):
     """Uniform labeled tree on n vertices from a random Prufer sequence."""
     if n == 1:
         return []
-    seq = [rng.below(n) for _ in range(n - 2)]
+    seq = rng.below_each(np.full(n - 2, n))
     degree = [1] * n
     for x in seq:
         degree[x] += 1
@@ -247,8 +247,8 @@ def generate_random_connected(n: int, m: int, seed: int) -> Graph:
         size = max_m - (n - 1)
         moved = {}
         picks = []
-        for k in range(extra):
-            j = k + rng.below(size - k)
+        for k, offset in enumerate(rng.below_each(size - np.arange(extra))):
+            j = k + offset
             picks.append(moved.get(j, j))
             moved[j] = moved.get(k, k)
         # a position becomes a lexicographic pair rank, (i, j) -> i (2n - i - 1)/2

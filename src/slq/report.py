@@ -82,6 +82,9 @@ def parse_graph_spec(spec: str, default_seed: Optional[int] = None):
                 raise GraphSpecError(
                     f"rand spec {spec!r} has no seed; add seed= or pass --seed"
                 )
+            # reduced mod 2^64 it would alias an in-range seed under another label
+            if not 0 <= seed < 2**64:
+                raise GraphSpecError(f"rand spec {spec!r}: seed {seed} is outside [0, 2^64)")
             label = f"rand:n={fields['n']},m={fields['m']},seed={seed}"
             return label, generate_random_connected(fields["n"], fields["m"], seed)
         if kind == "file":

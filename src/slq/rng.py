@@ -17,6 +17,10 @@ _WEYL = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+# below this many draws, below_each runs the scalar loop: one call costs
+# about 11 us against 0.45 us per scalar draw (measured crossover: 24)
+_SCALAR_DRAWS = 24
+
 
 class SplitMix64:
     """SplitMix64 stream seeded with an arbitrary 64-bit integer."""
@@ -44,6 +48,24 @@ class SplitMix64:
             u = self.next_uint64()
             if u < limit:
                 return u % bound
+
+    def below_each(self, bounds) -> list:
+        """``[self.below(b) for b in bounds]`` for bounds in [1, 2^64),
+        leaving the state where that loop would.  From _SCALAR_DRAWS bounds
+        on, the draws come from ``splitmix64_stream`` at once, and ``below``
+        takes over from the first rejected draw."""
+        bounds = np.asarray(bounds, dtype=np.uint64)
+        if len(bounds) < _SCALAR_DRAWS:
+            return [self.below(b) for b in bounds.tolist()]
+        if (bounds == 0).any():
+            raise ValueError("bound must be positive")
+        u = splitmix64_stream(self.state, len(bounds))
+        # below() keeps u < 2^64 - (2^64 mod b), i.e. u <= MASK64 - (-b mod b)
+        accepted = u <= np.uint64(MASK64) - (np.uint64(0) - bounds) % bounds
+        k = len(bounds) if accepted.all() else int(accepted.argmin())
+        out = (u[:k] % bounds[:k]).tolist()
+        self.state = (self.state + k * _WEYL) & MASK64
+        return out + [self.below(b) for b in bounds[k:].tolist()]
 
     def shuffle_prefix(self, items: list, k: int) -> list:
         """Partial Fisher-Yates: the first k slots become a uniform sample

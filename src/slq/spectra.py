@@ -198,10 +198,12 @@ def _up(x):
 @dataclass(frozen=True, eq=False)
 class Extremes:
     """Top and bottom eigenvalue of a graph matrix, each with an enclosure
-    (lo, hi) of the exact value: proved when the values come from Lanczos,
-    the residual certificate (value +- residual_tol) when they come from the
-    dense solve.  For the Laplacian the bottom is mu_{n-1}, the second
-    smallest eigenvalue (NaN when n = 1)."""
+    (lo, hi) of the exact value: proved when the values come from Lanczos
+    (the top of A and Q by a Collatz-Wielandt bound, or by a Cholesky test
+    when that bound misses; every other end by a Cholesky test), the
+    residual certificate (value +- residual_tol) when they come from the
+    dense solve.  For the Laplacian the bottom is
+    mu_{n-1}, the second smallest eigenvalue (NaN when n = 1)."""
 
     top: float
     bottom: float
@@ -214,7 +216,7 @@ def extreme_eigenvalues(w: GraphMatrix) -> Extremes:
 
     Up to DENSE_LIMIT vertices they are the extremes of eigenvalues() on
     ``w.dense``, enclosed by its residual certificate.  Above it they come
-    from Lanczos with a Cholesky certificate (see ``_lanczos_extremes``); if
+    from Lanczos with a proved certificate (see ``_lanczos_extremes``); if
     Lanczos does not converge or the certificate fails, from the dense
     solve after all.  Either way each reported value lies within
     RESIDUAL_CONTRACT * max(1, |top|, |bottom|) of the exact one.
@@ -256,9 +258,15 @@ def _lanczos_extremes(w: GraphMatrix, steps: int):
         bound on its rounding error (``_rayleigh``), and
       * an outer end theta_1 + delta above the top and theta_n - delta below
         the bottom, delta = RESIDUAL_CONTRACT * scale / 2, proved by a
-        Cholesky test (``_positive_definite``).  When the matrix is positive
+        Cholesky test (``_positive_definite``), with two exceptions that
+        need no factorization.  A and Q are nonnegative, so the top's outer
+        end is the Collatz-Wielandt bound max_i (W y)_i / y_i of the top
+        Ritz vector y (``_collatz_wielandt``) when y has one sign and the
+        bound is at most theta_1 + delta; otherwise, and always for the
+        Laplacian, the Cholesky test runs.  When the matrix is positive
         semidefinite (Q, L + J) and theta_n <= delta, the bottom's outer end
-        is 0 without a factorization.
+        is 0.  The n x n buffer of the Cholesky test is allocated only when
+        a factorization runs.
     """
     n = w.graph.n
     laplacian = w.kind == "laplacian"
@@ -300,7 +308,7 @@ def _lanczos_extremes(w: GraphMatrix, steps: int):
         basis[k] = r / beta[-1]
     y_top, y_bottom = ritz[:, [-1, 0]].T @ basis[:k]
     delta = 0.5 * RESIDUAL_CONTRACT * scale
-    buffer = np.empty((n, n))
+    buffer = None
     # the top: (theta_1 + delta) I - W is positive definite (sign -1); the
     # bottom: W - (theta_n - delta) I is (sign +1), for L on L + J
     w_bottom = GraphMatrix(w.graph, "laplacian", fill=1.0) if laplacian else w
@@ -309,17 +317,34 @@ def _lanczos_extremes(w: GraphMatrix, steps: int):
                                    (1.0, w_bottom, y_bottom, theta[0])):
         rho, (lo, hi) = _rayleigh(v, y)
         inner = lo if sign < 0 else hi
+        outer = float(ritz_value) - sign * delta
         # Q and L + J are positive semidefinite: near 0 that is the outer end
-        semidefinite = sign > 0 and v.kind != "adjacency" and ritz_value <= delta
-        outer = 0.0 if semidefinite else float(ritz_value) - sign * delta
+        proved = sign > 0 and v.kind != "adjacency" and ritz_value <= delta
+        if proved:
+            outer = 0.0
+        elif sign < 0 and not laplacian:
+            # A and Q are nonnegative: the top has a Collatz-Wielandt bound
+            bound = _collatz_wielandt(v, y)
+            proved = bound is not None and bound <= outer
+            if proved:
+                outer = bound
         if not sign * (inner - outer) <= RESIDUAL_CONTRACT * scale:
             return None
-        if not semidefinite and not _positive_definite(buffer, v, sign, outer, delta):
-            return None
+        if not proved:
+            if buffer is None:
+                buffer = np.empty((n, n))
+            if not _positive_definite(buffer, v, sign, outer, delta):
+                return None
         enclosure = (inner, outer) if sign < 0 else (outer, inner)
         sides.append(((min if sign < 0 else max)(rho, outer), enclosure))
     (top, top_enclosure), (bottom, bottom_enclosure) = sides
     return Extremes(top, bottom, top_enclosure, bottom_enclosure)
+
+
+def _product_terms(w: GraphMatrix) -> int:
+    """A bound on the products summed per row of ``w @ x``: a fill adds
+    x.sum(), n more terms, to every row."""
+    return int(w.graph.degrees.max()) + 3 + (w.graph.n + 1 if w.fill else 0)
 
 
 def _rayleigh(w: GraphMatrix, y):
@@ -334,14 +359,32 @@ def _rayleigh(w: GraphMatrix, y):
     follow from the entries of w.
     """
     n, degrees = w.graph.n, w.graph.degrees
-    # a fill adds x.sum(), n more terms, to every row of the product
-    terms = int(degrees.max()) + 3 + (n + 1 if w.fill else 0)
+    terms = _product_terms(w)
     rows = abs(w.diag + w.fill) + degrees * abs(w.off + w.fill) + (n - 1 - degrees) * abs(w.fill)
     row_sum = float(rows.max())
     z = w @ y
     rho = float(y @ z) / float(y @ y)
     err = 2.0 * _gamma(2 * n + terms + 2) * (abs(rho) + row_sum)
     return rho, (float(_down(rho - err)), float(_up(rho + err)))
+
+
+def _collatz_wielandt(w: GraphMatrix, y):
+    """An upper bound on the top eigenvalue of the nonnegative graph matrix
+    w (A or Q) from the vector y, or None when y, flipped to a positive
+    sum, has an entry <= 0.
+
+    Collatz-Wielandt (Horn & Johnson, Matrix Analysis, Thm 8.1.26): for
+    W >= 0 and y > 0, lambda_1(W) <= max_i (W y)_i / y_i.  The computed
+    product z = fl(W y) sums at most terms = ``_product_terms(w)`` products
+    per row, so |z - W y| <= gamma_terms |W| |y| = gamma_terms W y,
+    and W y <= z / (1 - gamma_terms); each step is rounded up.
+    """
+    if y.sum() < 0:
+        y = -y
+    if not (y > 0.0).all():
+        return None
+    z = _up((w @ y) / _down(1.0 - _up(_gamma(_product_terms(w)))))
+    return float(_up(z / y).max())
 
 
 def _positive_definite(buffer, w: GraphMatrix, sign: float, shift: float, room: float) -> bool:

@@ -26,6 +26,9 @@ CASES = {
     "validate.txt": "validate",
     "trace.txt": "trace complete:8 --iters 20 --step 0.05",
     "invariants.txt": "invariants rand:n=14,m=19,seed=7",
+    # n > DENSE_LIMIT: the extremes come from Lanczos and their certificates
+    "table_lanczos.csv": "table rand:n=500,m=5000,seed=1 rand:n=800,m=32000,seed=4"
+                         " --bounds all --format csv",
 }
 
 

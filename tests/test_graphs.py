@@ -24,6 +24,7 @@ from slq import (
 )
 from slq.combinatorics import independence_number, vertex_bipartiteness
 from slq.graphs import _prufer_tree_edges
+from slq import rng as rng_module
 from slq.rng import SplitMix64, splitmix64_stream
 from slq.validation import small_connected_sample, standard_corpus
 
@@ -367,6 +368,25 @@ class TestSplitMix64:
     def test_below_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             SplitMix64(1).below(0)
+
+    def test_below_each_is_the_scalar_loop(self):
+        # about half of all draws below 2^63 + 1 are rejected, so the scalar
+        # fallback runs; 2^64 - 1 rejects one draw in 2^64, 2^k none
+        bounds = [7, 1, 2**63 + 1, 10, 2**64 - 1, 2**32 + 3, 2**40, 2**63 + 1, 3] * 40
+        for seed in (0, 1, 99, 2**64 - 1):
+            scalar, vector = SplitMix64(seed), SplitMix64(seed)
+            expected = [scalar.below(b) for b in bounds]
+            assert vector.below_each(bounds) == expected
+            assert vector.state == scalar.state
+            assert vector.next_uint64() == scalar.next_uint64()
+        # fewer bounds than one stream is worth take the scalar loop itself
+        for count in (0, 1, rng_module._SCALAR_DRAWS - 1, rng_module._SCALAR_DRAWS):
+            scalar, vector = SplitMix64(7), SplitMix64(7)
+            assert vector.below_each(bounds[:count]) == [scalar.below(b) for b in bounds[:count]]
+            assert vector.state == scalar.state
+        for bad in ([3, 0], [3] * 40 + [0]):
+            with pytest.raises(ValueError):
+                SplitMix64(1).below_each(bad)
 
     def test_shuffle_prefix_is_sample_without_replacement(self):
         rng = SplitMix64(5)

@@ -54,6 +54,16 @@ class TestParseGraphSpec:
         assert label == "rand:n=8,m=12,seed=9"
         assert g == generate_random_connected(8, 12, 9)
 
+    @pytest.mark.parametrize("spec, default", [
+        ("rand:n=6,m=7,seed=-1", None),
+        ("rand:n=6,m=7,seed=18446744073709551616", None),
+        ("rand:n=6,m=7", -1),
+        ("rand:n=6,m=7", 2**64),
+    ])
+    def test_seed_outside_u64_refused(self, spec, default):
+        with pytest.raises(GraphSpecError, match=r"outside \[0, 2\^64\)"):
+            parse_graph_spec(spec, default_seed=default)
+
     def test_rand_without_any_seed(self):
         with pytest.raises(GraphSpecError, match="no seed"):
             parse_graph_spec("rand:n=8,m=12")
@@ -299,6 +309,20 @@ class TestCliMain:
         assert main(["table", "rand:n=6,m=8", "--seed", "3", "--format", "csv"]) == 0
         rows = parse_table_csv(capsys.readouterr().out)
         assert rows[0]["graph"].endswith("seed=3")
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])
+    @pytest.mark.parametrize("form", ["spec", "flag"])
+    def test_seed_outside_u64_exits_2(self, capsys, seed, form):
+        spec, flags = ("rand:n=6,m=7,seed=" + seed, []) if form == "spec" else (
+            "rand:n=6,m=7", ["--seed", seed])
+        assert main(["table", spec] + flags) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_largest_u64_seed_is_accepted(self, capsys):
+        seed = str(2**64 - 1)
+        for args in (["rand:n=6,m=7,seed=" + seed], ["rand:n=6,m=7", "--seed", seed]):
+            assert main(["table", *args, "--format", "csv"]) == 0
+            assert parse_table_csv(capsys.readouterr().out)[0]["graph"].endswith("seed=" + seed)
 
     def test_usage_error(self):
         with pytest.raises(SystemExit) as err:
