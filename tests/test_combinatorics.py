@@ -1,5 +1,6 @@
 """Exact combinatorial oracles against independent enumerating references."""
 
+import sys
 import tracemalloc
 from itertools import combinations
 
@@ -111,6 +112,81 @@ def enumerated_vb(g) -> int:
     raise AssertionError("empty graph is bipartite")
 
 
+def natural_order_alpha(nv: int, adj) -> int:
+    """Oracle: the clique branch and bound on the masks as given, with no
+    relabelling (the solver before the degree order)."""
+    best = 0
+
+    def expand(cand: int, size: int):
+        nonlocal best
+        order = []
+        left = cand
+        k = 0
+        while left:
+            k += 1
+            clique = left
+            while clique:
+                b = clique & -clique
+                v = b.bit_length() - 1
+                left ^= b
+                clique &= adj[v]
+                order.append((v, k))
+        for v, k in reversed(order):
+            if size + k <= best:
+                return
+            b = 1 << v
+            rest = cand & ~(adj[v] | b)
+            if rest:
+                expand(rest, size + 1)
+            elif size + 1 > best:
+                best = size + 1
+            cand ^= b
+
+    expand((1 << nv) - 1, 0)
+    return best
+
+
+def natural_order_vb(g) -> int:
+    """Oracle: n - alpha(G □ K2) in natural vertex order, the copies of v
+    at v and v + n."""
+    n = g.n
+    adj = _masks(g)
+    doubled = [a | 1 << (v + n) for v, a in enumerate(adj)]
+    doubled += [a << n | 1 << v for v, a in enumerate(adj)]
+    return n - natural_order_alpha(2 * n, doubled)
+
+
+class SearchTooLarge(Exception):
+    """The branch and bound made more calls than a test allows."""
+
+
+def under_expand_cap(fn, cap: int):
+    """fn(), counting its calls to the nested search function ``expand``;
+    raises SearchTooLarge once the count passes cap."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "expand":
+            calls += 1
+            if calls > cap:
+                raise SearchTooLarge(f"more than {cap} expand calls")
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        value = fn()
+    finally:
+        sys.setprofile(previous)
+    return value
+
+
+def relabelled(g, seed: int):
+    """g with its vertices renamed by a seeded random permutation."""
+    perm = np.random.default_rng(seed).permutation(g.n)
+    return build_graph(g.n, perm[g.edge_array], allow_isolated=True)
+
+
 def per_edge_max_cut(g) -> int:
     """Oracle: every bipartition with vertex n-1 pinned, one numpy pass
     per edge over the 2^(n-1) side masks."""
@@ -173,6 +249,22 @@ class TestFrozenValues:
         assert max_cut(generate_named("cycle", 23)) == 22
         assert max_cut(generate_named("complete_bipartite", (11, 12))) == 132
 
+    def test_max_cut_closed_forms_at_the_table_edges(self):
+        # K_21 and C_21 fill the largest unblocked table; K_23 has m = 253,
+        # the top of the one-byte table
+        assert max_cut(generate_named("complete", 21)) == 110
+        assert max_cut(generate_named("complete", 23)) == 132
+        assert max_cut(generate_named("cycle", 21)) == 20
+
+    def test_max_cut_two_and_three_vertices(self):
+        cases = (
+            (generate_named("complete", 2), 1),
+            (generate_named("path", 3), 2),
+            (generate_named("complete", 3), 2),
+        )
+        for g, value in cases:
+            assert max_cut(g) == value == per_edge_max_cut(g), g
+
 
 class TestAgainstNaive:
     @given(small_specs)
@@ -218,6 +310,17 @@ class TestAgainstReferences:
             g = generate_random_connected(n, m, seed=n)
             assert max_cut(g) == per_edge_max_cut(g), (n, m)
 
+    def test_oracles_ignore_vertex_names(self):
+        # the oracles relabel by degree; a renamed graph has the same values
+        graphs = [g for _, g in CORPUS if g.n <= 20]
+        for i, g in enumerate(graphs):
+            h = relabelled(g, seed=i)
+            assert (max_cut(h), vertex_bipartiteness(h), independence_number(h)) == (
+                max_cut(g),
+                vertex_bipartiteness(g),
+                independence_number(g),
+            ), g
+
     def test_alpha_matches_naive(self):
         for _, g in SAMPLE:
             assert independence_number(g) == naive_alpha(g), g
@@ -234,6 +337,38 @@ class TestAgainstReferences:
             tracemalloc.stop()
         assert value == 72  # the per-edge loop's value
         assert peak < 24 * 2**20
+
+    def test_unblocked_max_cut_memory(self):
+        # one 2^20-entry byte table plus a 2^19-entry count; a uint32 side
+        # mask per entry and a copy of the table would pass 8 MB
+        _, g = parse_graph_spec("rand:n=21,m=84,seed=3")
+        tracemalloc.start()
+        try:
+            value = max_cut(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 58  # the per-edge loop's value
+        assert peak < 8 * 2**20
+
+
+class TestSearchSize:
+    """Deterministic caps on the branch and bound, counted in calls to its
+    nested ``expand`` rather than timed.  Without the degree order the
+    sparse n = 60 graph runs for minutes."""
+
+    CAP = 20_000
+
+    def test_sparse_sixty_vertices(self):
+        _, g = parse_graph_spec("rand:n=60,m=90,seed=1")
+        value = under_expand_cap(lambda: vertex_bipartiteness(g, limit=60), self.CAP)
+        assert value == 6
+
+    @pytest.mark.parametrize("m, vb", [(322, 25), (634, 33)])
+    def test_paper_rows(self, m, vb):
+        _, g = parse_graph_spec(f"rand:n=40,m={m},seed=1")
+        value = under_expand_cap(lambda: vertex_bipartiteness(g, limit=40), self.CAP)
+        assert value == vb == natural_order_vb(g)
 
 
 class TestDensityCondition:
