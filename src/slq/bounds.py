@@ -134,6 +134,11 @@ class GraphData:
         return extreme_eigenvalues(self.q)
 
     @cached_property
+    def search(self) -> minmax.SearchTrace:
+        """The gradient search on Q, shared by eta and one_step."""
+        return minmax.gradient_search(self.q.operand, self.options.search)
+
+    @cached_property
     def mu_extremes(self):
         return extreme_eigenvalues(GraphMatrix(self.graph, "laplacian"))
 
@@ -317,12 +322,13 @@ def lb_z2(data: GraphData) -> float:
 
 def lb_eta(data: GraphData) -> float:
     """Gradient-search lower bound on s_Q."""
-    return minmax.gradient_search(data.q.operand, data.options.search).best_value
+    return data.search.best_value
 
 
 def lb_one_step(data: GraphData) -> float:
-    """One projected gradient step from the all-ones vector."""
-    return minmax.one_step_analytic_bound(data.q.operand, step=data.options.search.step)
+    """One projected gradient step from the all-ones vector: the search's
+    first step, whose size is the configured step in both step modes."""
+    return data.search.first_step_value
 
 
 # ---------------------------------------------------------------------------

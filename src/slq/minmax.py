@@ -8,6 +8,7 @@ gradient ascent heuristic eta that maximizes f over the sphere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,12 +54,19 @@ def f_value(w, x) -> float:
     w = _as_matrix(w)
     x = np.asarray(x, dtype=np.float64)
     _check_unit(x)
-    return _f(x, w @ x)
+    wx = w @ x
+    return _f(x, wx, x @ wx)
 
 
-def _f(x, wx) -> float:
-    """f(x) read from wx = W x."""
-    return 2.0 * float(np.linalg.norm(wx - (x @ wx) * x))
+def _norm(v) -> float:
+    """The Euclidean norm of a real 1-d array, as np.linalg.norm computes
+    it (the square root of v.dot(v)) without its dispatch."""
+    return math.sqrt(v.dot(v))
+
+
+def _f(x, wx, xwx) -> float:
+    """f(x) read from wx = W x and xwx = x'Wx."""
+    return 2.0 * _norm(wx - xwx * x)
 
 
 def f_value_quadratic(w, x) -> float:
@@ -92,26 +100,29 @@ def grad_f_squared(w, x) -> np.ndarray:
     """Ambient gradient of f(x)^2 = 4(x'W^2x - (x'Wx)^2): 8W^2x - 16(x'Wx)Wx."""
     w = _as_matrix(w)
     x = np.asarray(x, dtype=np.float64)
-    return _gradient(w, x, w @ x)
+    wx = w @ x
+    return _gradient(w, wx, x @ wx)
 
 
-def _gradient(w, x, wx) -> np.ndarray:
-    """The ambient f^2 gradient read from wx = W x."""
-    return 8.0 * (w @ wx) - 16.0 * float(x @ wx) * wx
+def _gradient(w, wx, xwx) -> np.ndarray:
+    """The ambient f^2 gradient read from wx = W x and xwx = x'Wx."""
+    return 8.0 * (w @ wx) - 16.0 * xwx * wx
 
 
-def _tangent_step(w, x, wx, step: float):
+def _tangent_step(w, x, wx, xwx, step: float):
     """Unit x moved by ``step`` along the unit tangential component of the
     f^2 gradient (the radial part only rescales x) and renormalized, with
-    W times it; None when that component vanishes, so x is stationary."""
-    g = _gradient(w, x, wx)
+    W times it and its x'Wx; None when that component vanishes, so x is
+    stationary."""
+    g = _gradient(w, wx, xwx)
     tang = g - (g @ x) * x
-    tnorm = float(np.linalg.norm(tang))
-    if tnorm <= STATIONARY_TOL * max(1.0, float(np.linalg.norm(g))):
+    tnorm = _norm(tang)
+    if tnorm <= STATIONARY_TOL * max(1.0, _norm(g)):
         return None
     x = x + step * (tang / tnorm)
-    x /= np.linalg.norm(x)
-    return x, w @ x
+    x /= _norm(x)
+    wx = w @ x
+    return x, wx, x @ wx
 
 
 def numerical_grad_f_squared(w, x, h: float = 1e-6) -> np.ndarray:
@@ -142,8 +153,15 @@ class SearchConfig:
     def __post_init__(self):
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
-        if not self.step > 0.0:
+        step = float(self.step)
+        if not step > 0.0:
             raise ValueError("step must be positive")
+        if not math.isfinite(step):
+            raise ValueError("step must be finite")
+        # a step moves x to a vector of squared norm 1 + step^2 before it is
+        # renormalized; the factor 2 leaves room for the rounding of that sum
+        if not math.isfinite(2.0 * (1.0 + step * step)):
+            raise ValueError("step must be below 9.48e153, where its squared norm overflows")
         if self.step_mode not in ("constant", "decreasing"):
             raise ValueError("step_mode must be 'constant' or 'decreasing'")
 
@@ -160,6 +178,12 @@ class SearchTrace:
     perturbed: bool
     stagnated_at: Optional[int]
 
+    @property
+    def first_step_value(self) -> float:
+        """f after one step of the full size s from the all-ones start: the
+        first iterate, or the start itself when it was stationary."""
+        return self.initial_value if self.perturbed else self.values[0]
+
 
 def gradient_search(w, config: Optional[SearchConfig] = None) -> SearchTrace:
     """Maximize f over the unit sphere by projected gradient ascent.
@@ -171,41 +195,49 @@ def gradient_search(w, config: Optional[SearchConfig] = None) -> SearchTrace:
     then renormalizes.  A start point whose tangential gradient vanishes
     (e.g. regular graphs, where the all-ones vector is an eigenvector) is
     nudged once in coordinate 0 so the search can leave the stationary
-    point; later stationary iterates stop moving and the trace records
-    where.  Returns the best value ever seen, including the start.
+    point; a later stationary iterate stops the search, its value repeated
+    for the remaining iterations, and the trace records where.  Returns the
+    best value ever seen, including the start.  Each iterate costs two
+    products by W: one for the gradient, one for the moved point.
     """
     w = _as_matrix(w)
     cfg = config or SearchConfig()
     n = w.shape[0]
     x = np.full(n, 1.0 / np.sqrt(n))
     wx = w @ x
-    initial = _f(x, wx)
-    best = initial
-    best_x = x.copy()
-    best_iter = 0
+    xwx = x @ wx
+    initial = _f(x, wx, xwx)
+    best, best_x, best_iter = initial, x, 0
 
-    perturbed = _tangent_step(w, x, wx, cfg.step) is None
+    # the probe for a stationary start is iteration 1's step: s_1 = s in
+    # both step modes
+    moved = _tangent_step(w, x, wx, xwx, cfg.step)
+    perturbed = moved is None
     if perturbed:
+        x = x.copy()
         x[0] += 1e-3
-        x /= np.linalg.norm(x)
+        x /= _norm(x)
         wx = w @ x
+        xwx = x @ wx
+        moved = _tangent_step(w, x, wx, xwx, cfg.step)
 
     values = []
     stagnated_at = None
     for k in range(1, cfg.iterations + 1):
-        step = cfg.step if cfg.step_mode == "constant" else cfg.step / np.sqrt(k)
-        moved = _tangent_step(w, x, wx, step)
+        if k > 1:
+            step = cfg.step if cfg.step_mode == "constant" else cfg.step / np.sqrt(k)
+            moved = _tangent_step(w, x, wx, xwx, step)
         if moved is None:
-            if stagnated_at is None:
-                stagnated_at = k
-            values.append(_f(x, wx))
-            continue
-        x, wx = moved
-        val = _f(x, wx)
+            # x stays where it is, so every later iteration stagnates too
+            stagnated_at = k
+            values += [_f(x, wx, xwx)] * (cfg.iterations - k + 1)
+            break
+        x, wx, xwx = moved
+        val = _f(x, wx, xwx)
         values.append(val)
         if val > best:
             best = val
-            best_x = x.copy()
+            best_x = x
             best_iter = k
     return SearchTrace(
         initial_value=initial,
@@ -263,9 +295,4 @@ def one_step_analytic_bound(w, step: float) -> float:
     size; for the signless Laplacian of a regular graph the start is
     stationary and the value is 0.
     """
-    w = _as_matrix(w)
-    n = w.shape[0]
-    x = np.full(n, 1.0 / np.sqrt(n))
-    wx = w @ x
-    x, wx = _tangent_step(w, x, wx, step) or (x, wx)
-    return _f(x, wx)
+    return gradient_search(w, SearchConfig(iterations=1, step=step)).first_step_value

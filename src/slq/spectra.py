@@ -9,6 +9,7 @@ matrix's extreme eigenvalues, and the three spread invariants s
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -157,7 +158,13 @@ def eigenvalues(w: np.ndarray) -> Spectrum:
     n = w.shape[0]
     vals, vecs = np.linalg.eigh(w)
     scale = max(1.0, float(np.abs(vals).max()) if n else 1.0)
-    resid = float(np.linalg.norm(w @ vecs - vecs * vals, axis=0).max()) if n else 0.0
+    resid = 0.0
+    if n:
+        # the largest column norm of W V - V diag(vals), squared in place
+        r = w @ vecs
+        r -= vecs * vals
+        r *= r
+        resid = math.sqrt(r.sum(axis=0).max())
     floor = n * np.finfo(np.float64).eps * scale
     tol = max(resid, floor)
     if tol > RESIDUAL_CONTRACT * scale:

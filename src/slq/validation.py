@@ -74,12 +74,21 @@ def classify(outcome, data: GraphData, exclude):
     sits on the right side of the spread it targets (a lower bound at most
     spread + SANDWICH_TOL, an upper bound at least spread - SANDWICH_TOL);
     otherwise the pair (reference spread, excluded), where excluded is
-    exclude(name, data) and False when exclude is None.  The reference is
-    read from data only here, so a spectrum is solved only for a target
-    some evaluated entry has."""
+    exclude(name, data) and False when exclude is None.
+
+    The reference is read from data only here, so a spectrum is solved only
+    for a cell that needs it.  An upper bound on s_L at or above the upper
+    end of q_1's enclosure passes without the Laplacian spectrum: |L| = Q
+    entrywise, so mu_1 <= q_1, and s_L = mu_1 - mu_{n-1} <= mu_1.  That
+    clears no violated cell; any other s_L cell is decided against s_L."""
     if not outcome.evaluated:
         return None
-    ref = data.s_q if outcome.target == "s_Q" else data.s_l
+    if outcome.target == "s_Q":
+        ref = data.s_q
+    elif outcome.direction == "upper" and outcome.value >= data.q_extremes.top_enclosure[1]:
+        return None
+    else:
+        ref = data.s_l
     if outcome.direction == "lower":
         bad = outcome.value > ref + SANDWICH_TOL
     else:

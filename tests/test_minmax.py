@@ -11,9 +11,13 @@ from conftest import bound
 from hypothesis import given, strategies as st
 
 from slq import (
+    CatalogOptions,
+    GraphData,
     GraphMatrix,
     SearchConfig,
     bound_from_vector,
+    build_graph,
+    evaluate_catalog,
     f_value,
     f_value_quadratic,
     generate_named,
@@ -26,6 +30,7 @@ from slq import (
     spread_report,
     unit_vector,
 )
+from slq import minmax
 from slq.minmax import inverse_degree_value
 from slq.rng import SplitMix64
 from slq.validation import standard_corpus
@@ -224,6 +229,18 @@ class TestGradientSearch:
         else:
             assert tr.best_value == tr.values[tr.iteration_of_best - 1]
 
+    def test_largest_step_runs_without_overflow(self):
+        # the largest step SearchConfig accepts; an overflow warning fails
+        # the test (pytest turns RuntimeWarning into an error)
+        step = 9.480751908109176e153
+        assert SearchConfig(step=step).step == step
+        for label, g in standard_corpus()[::25] + (("cycle:6", generate_named("cycle", 6)),):
+            q = signless_laplacian_matrix(g)
+            for mode in ("constant", "decreasing"):
+                tr = gradient_search(q, SearchConfig(step=step, step_mode=mode))
+                assert np.isfinite(tr.values).all(), label
+                assert np.linalg.norm(tr.best_vector) == pytest.approx(1.0, abs=1e-12)
+
     def test_regular_start_is_perturbed(self):
         q = signless_laplacian_matrix(generate_named("complete", 4))
         tr = gradient_search(q)
@@ -263,6 +280,13 @@ class TestGradientSearch:
             SearchConfig(iterations=0)
         with pytest.raises(ValueError, match="step must be positive"):
             SearchConfig(step=0.0)
+        with pytest.raises(ValueError, match="step must be positive"):
+            SearchConfig(step=float("nan"))
+        with pytest.raises(ValueError, match="step must be finite"):
+            SearchConfig(step=float("inf"))
+        for step in (1e200, 9.480751908109177e153, np.float64(1e200)):
+            with pytest.raises(ValueError, match="step must be below 9.48e153"):
+                SearchConfig(step=step)
         with pytest.raises(ValueError, match="step_mode"):
             SearchConfig(step_mode="adaptive")
 
@@ -299,7 +323,12 @@ class TestOneProductPerIterate:
     def test_search_equals_the_reference_bit_for_bit(self):
         configs = (SearchConfig(), SearchConfig(iterations=20, step=0.05),
                    SearchConfig(step_mode="decreasing"))
-        for label, g in standard_corpus()[::5] + (("complete:8", generate_named("complete", 8)),):
+        # complete:8 starts stationary; on K_1 and an edgeless graph every
+        # point is stationary, so the search stagnates at iteration 1
+        extra = (("complete:8", generate_named("complete", 8)),
+                 ("complete:1", generate_named("complete", 1)),
+                 ("edgeless:3", build_graph(3, [], allow_isolated=True)))
+        for label, g in standard_corpus()[::5] + extra:
             q = signless_laplacian_matrix(g)
             for cfg in configs:
                 tr = gradient_search(q, cfg)
@@ -317,6 +346,70 @@ class TestOneProductPerIterate:
             assert gradient_search(w).values == pytest.approx(gradient_search(q).values, rel=1e-12)
             assert one_step_analytic_bound(w, 0.1) == pytest.approx(
                 one_step_analytic_bound(q, 0.1), rel=1e-12, abs=1e-12)
+
+class TestOneSearchPerGraph:
+    """eta and one_step read one cached search of GraphData."""
+
+    @pytest.fixture
+    def search_calls(self, monkeypatch):
+        calls = []
+
+        def counting(w, config=None):
+            calls.append(config)
+            return gradient_search(w, config)
+
+        monkeypatch.setattr(minmax, "gradient_search", counting)
+        return calls
+
+    @pytest.mark.parametrize("names", [("eta", "one_step"), None])
+    def test_catalog_runs_the_search_once(self, search_calls, names):
+        options = CatalogOptions(search=SearchConfig(iterations=7, step=0.2))
+        for label, g in standard_corpus()[::50]:
+            del search_calls[:]
+            outcomes = evaluate_catalog(GraphData(g, options), names)
+            assert search_calls == [options.search], label
+            assert {o.name for o in outcomes} >= {"eta", "one_step"}
+
+    def test_the_start_probe_is_the_first_step(self, monkeypatch):
+        # one tangent step per iteration, plus the stationary probe when the
+        # start is perturbed
+        steps = []
+
+        def counting(*args, _real=minmax._tangent_step):
+            steps.append(args[-1])
+            return _real(*args)
+
+        monkeypatch.setattr(minmax, "_tangent_step", counting)
+        cfg = SearchConfig(iterations=7, step=0.2, step_mode="decreasing")
+        for label, g in standard_corpus()[::50] + (("cycle:6", generate_named("cycle", 6)),):
+            del steps[:]
+            tr = gradient_search(signless_laplacian_matrix(g), cfg)
+            assert tr.stagnated_at is None
+            assert len(steps) == cfg.iterations + tr.perturbed, label
+            assert steps[: 1 + tr.perturbed] == [cfg.step] * (1 + tr.perturbed)
+
+    @pytest.mark.parametrize("step_mode", ["constant", "decreasing"])
+    def test_catalog_entry_equals_the_single_step_bit_for_bit(self, step_mode):
+        graphs = standard_corpus()[::5] + (("cycle:6", generate_named("cycle", 6)),)
+        for step in (0.1, 0.3):
+            options = CatalogOptions(search=SearchConfig(step=step, step_mode=step_mode))
+            for label, g in graphs:
+                want = one_step_analytic_bound(signless_laplacian_matrix(g), step)
+                assert bound("one_step", g, options) == want, label
+        assert gradient_search(signless_laplacian_matrix(generate_named("cycle", 6))).perturbed
+
+    def test_single_step_is_the_reference_first_iterate(self):
+        # the f value one reference step from the all-ones start, or of the
+        # start itself when it is stationary
+        cfg = SearchConfig(iterations=1, step=0.3)
+        graphs = standard_corpus()[::25] + (("cycle:6", generate_named("cycle", 6)),)
+        for label, g in graphs:
+            q = signless_laplacian_matrix(g)
+            values, _, perturbed, _ = reference_search(q, cfg)
+            start = np.full(g.n, 1.0 / np.sqrt(g.n))
+            want = f_value(q, start) if perturbed else values[0]
+            assert one_step_analytic_bound(q, cfg.step) == want, label
+
 
 class TestOneStep:
     def test_regular_graph_sits_at_stationary_zero(self):

@@ -375,6 +375,25 @@ class TestCliMain:
         assert captured.err == f"error: {message}\n"
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize(
+        "args",
+        [["table", "cycle:5"], ["validate"], ["trace", "cycle:5"]],
+        ids=["table", "validate", "trace"],
+    )
+    @pytest.mark.parametrize(
+        "step, message",
+        [
+            ("inf", "step must be finite"),
+            ("1e200", "step must be below 9.48e153, where its squared norm overflows"),
+        ],
+        ids=["inf", "1e200"],
+    )
+    def test_non_finite_or_overflowing_step_exits_2(self, capsys, args, step, message):
+        assert main(args + ["--step", step]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     @pytest.mark.parametrize("spec", ["path:1", "complete:1"])
     @pytest.mark.parametrize("bounds", [[], ["--bounds", "all"]])
     def test_single_vertex_table(self, capsys, spec, bounds):

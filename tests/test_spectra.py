@@ -178,6 +178,33 @@ class TestEigenvalues:
         scale = max(1.0, float(np.abs(spec.values).max()))
         assert 0.0 < spec.residual_tol <= 1e-9 * scale
 
+    def test_residual_is_the_column_norm_formula_bit_for_bit(self, corpus, monkeypatch):
+        def reference(w):
+            vals, vecs = np.linalg.eigh(w)
+            scale = max(1.0, float(np.abs(vals).max()))
+            resid = float(np.linalg.norm(w @ vecs - vecs * vals, axis=0).max())
+            return resid, w.shape[0] * np.finfo(np.float64).eps * scale
+
+        def check(expect_floor):
+            for label, g in corpus:
+                for kind in ("signless", "laplacian", "adjacency"):
+                    w = GraphMatrix(g, kind).dense
+                    resid, floor = reference(w)
+                    assert (resid <= floor) == expect_floor, (label, kind)
+                    assert eigenvalues(w).residual_tol == max(resid, floor), (label, kind)
+
+        # eigh's vectors leave every corpus residual below the floor n eps |W|;
+        # perturbed vectors make the residual itself the certificate
+        check(expect_floor=True)
+        eigh = np.linalg.eigh
+
+        def perturbed_eigh(w):
+            vals, vecs = eigh(w)
+            return vals, vecs + 1e-12 * np.cos(np.arange(vecs.size)).reshape(vecs.shape)
+
+        monkeypatch.setattr(np.linalg, "eigh", perturbed_eigh)
+        check(expect_floor=False)
+
     def test_trace_sum_invariant(self):
         for seed in range(5):
             g = generate_random_connected(12, 20, seed=seed)

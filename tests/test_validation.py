@@ -9,13 +9,25 @@ one corpus graph with an isolated vertex.  Anything else is a bug.
 import numpy as np
 import pytest
 
-from slq import CatalogOptions, GraphData, build_graph, generate_named, is_bipartite, is_connected
+from slq import (
+    CatalogOptions,
+    CatalogOutcome,
+    GraphData,
+    build_graph,
+    evaluate_catalog,
+    generate_named,
+    is_bipartite,
+    is_connected,
+)
+from slq.report import build_row, parse_graph_spec, resolve_bounds
 from slq.rng import SplitMix64
 from slq import validation
 from slq.validation import (
+    SANDWICH_TOL,
     CellViolation,
     ValidationReport,
     check_equality_fixtures,
+    classify,
     check_gradients,
     check_identities,
     check_sandwich,
@@ -184,6 +196,106 @@ class TestSandwich:
         rep = check_sandwich(mini, options=CatalogOptions(oracle_limit=3))
         assert rep.failures == []
         assert rep.inapplicable_cells >= 3
+
+
+def exact_rule(outcome, data, exclude):
+    """The violation rule with every cell decided against the spread it
+    targets: the reference that classify must agree with."""
+    if not outcome.evaluated:
+        return None
+    ref = data.s_q if outcome.target == "s_Q" else data.s_l
+    if outcome.direction == "lower":
+        bad = outcome.value > ref + SANDWICH_TOL
+    else:
+        bad = outcome.value < ref - SANDWICH_TOL
+    if not bad:
+        return None
+    return ref, exclude is not None and exclude(outcome.name, data)
+
+
+# every golden table with --bounds all: (specs, oracle limit)
+GOLDEN_ALL_TABLES = (
+    ("path:10 cycle:9 star:6 rand:n=40,m=634,seed=1 rand:n=40,m=322,seed=1"
+     " kn1uk1:6 kbip:3,4 complete:3 path:3", None),
+    ("rand:n=30,m=100,seed=3", 10),
+    ("rand:n=500,m=5000,seed=1 rand:n=800,m=32000,seed=4", None),
+)
+
+DISCONNECTED = (
+    ("2K2", build_graph(4, [(0, 1), (2, 3)])),
+    ("P3+K2", build_graph(5, [(0, 1), (1, 2), (3, 4)])),
+    ("K2+K1", build_graph(3, [(0, 1)], allow_isolated=True)),
+    ("C5+K1", build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)], allow_isolated=True)),
+)
+
+
+class TestSlCellsOnTheTopOfQ:
+    """classify passes an upper bound on s_L at or above the top of q_1's
+    enclosure without the Laplacian spectrum."""
+
+    def test_mu1_is_below_the_top_of_q(self, corpus):
+        checked = set()
+        for label, g in tuple(corpus) + DISCONNECTED:
+            data = GraphData(g)
+            assert data.s_l <= data.mu1 <= data.q_extremes.top_enclosure[1], label
+            if not data.connected:
+                checked.add("isolated" if data.profile.delta == 0 else "disconnected")
+        assert checked == {"isolated", "disconnected"}
+
+    def test_verdicts_equal_the_exact_rule_on_the_corpus(self, corpus):
+        for label, g in tuple(corpus) + DISCONNECTED:
+            data = GraphData(g)
+            for outcome in evaluate_catalog(data):
+                want = exact_rule(outcome, data, printed_form_excluded)
+                assert classify(outcome, data, printed_form_excluded) == want, (label, outcome.name)
+
+    @pytest.mark.parametrize("specs, limit", GOLDEN_ALL_TABLES,
+                             ids=["table_all", "table_oracle_limit", "table_lanczos"])
+    def test_verdicts_equal_the_exact_rule_on_the_golden_tables(self, specs, limit):
+        options = CatalogOptions(oracle_limit=limit)
+        columns = resolve_bounds("all")
+        for spec in specs.split():
+            label, g = parse_graph_spec(spec)
+            row = build_row(label, g, columns, options)
+            data = GraphData(g, options)
+            flagged = []
+            for outcome in evaluate_catalog(data):
+                got = classify(outcome, data, printed_form_excluded)
+                want = exact_rule(outcome, data, printed_form_excluded)
+                assert got == want, (label, outcome.name)
+                if want is not None:
+                    flagged.append((outcome.name, want[1]))
+            assert sorted(row.violations) == sorted(flagged), label
+
+    def test_cleared_cells_solve_no_laplacian(self, corpus):
+        cleared = needed = 0
+        for label, g in corpus:
+            data = GraphData(g)
+            (outcome,) = evaluate_catalog(data, ("das_laplacian",))
+            if not outcome.evaluated:
+                continue
+            verdict = classify(outcome, data, None)
+            if outcome.value >= data.q_extremes.top_enclosure[1]:
+                assert verdict is None and "mu_extremes" not in data.__dict__, label
+                cleared += 1
+            else:
+                assert verdict == exact_rule(outcome, data, None), label
+                assert "mu_extremes" in data.__dict__, label
+                needed += 1
+        assert (cleared, needed) == (441, 51)
+
+    def test_a_violation_below_the_laplacian_spread_is_still_flagged(self, corpus):
+        for label, g in tuple(corpus[::10]) + DISCONNECTED:
+            data = GraphData(g)
+            for value, flagged in ((data.s_l - 2 * SANDWICH_TOL, True),
+                                   (data.s_l - 0.5 * SANDWICH_TOL, False),
+                                   (data.q_extremes.top_enclosure[1], False)):
+                outcome = CatalogOutcome("das_laplacian", "upper", "s_L", value)
+                verdict = classify(outcome, data, printed_form_excluded)
+                assert verdict == exact_rule(outcome, data, printed_form_excluded), label
+                assert (verdict is not None) == flagged, label
+                if flagged:
+                    assert verdict == (data.s_l, False)
 
 
 class TestOtherChecks:
