@@ -9,8 +9,11 @@ with the vertices taken in ascending degree order.  Vertex bipartiteness is
 n - alpha(G □ K2): an induced bipartite subgraph of G is two disjoint
 independent sets, i.e. one independent set of the Cartesian product of G
 with an edge.  The two copies of each vertex are neighbours in bit order,
-so the greedy cover pairs them.  Max cut tabulates all bipartitions, in
-place, by doubling.
+so the greedy cover pairs them.  Swapping the two copies is an automorphism
+of G □ K2, so some maximum independent set avoids copy 1 of the
+lowest-degree vertex, and the search starts without it.  Max cut
+tabulates all bipartitions, in place, by doubling; a bipartite graph cuts
+all its edges.
 """
 
 from __future__ import annotations
@@ -57,9 +60,9 @@ def _adjacency_masks(g: Graph, doubled: bool = False):
     return adj
 
 
-def _max_independent_set(nv: int, adj) -> int:
+def _max_independent_set(nv: int, adj, cand: Optional[int] = None) -> int:
     """Independence number of the graph on nv vertices with neighbourhood
-    bitmasks adj."""
+    bitmasks adj; with ``cand``, of the subgraph induced by that mask."""
     best = 0
 
     def expand(cand: int, size: int):
@@ -89,7 +92,7 @@ def _max_independent_set(nv: int, adj) -> int:
                 best = size + 1
             cand ^= b
 
-    expand((1 << nv) - 1, 0)
+    expand((1 << nv) - 1 if cand is None else cand, 0)
     return best
 
 
@@ -114,12 +117,17 @@ def vertex_bipartiteness(g: Graph, limit: Optional[int] = None) -> int:
     limit = VB_LIMIT if limit is None else limit
     if g.n > limit:
         raise OracleLimitError("vertex bipartiteness", g.n, limit)
-    return g.n - _max_independent_set(2 * g.n, _adjacency_masks(g, doubled=True))
+    # swapping the two copies is an automorphism of G □ K2 that maps a
+    # maximum independent set holding copy 1 of the rank-0 vertex (bit 1) to
+    # one of the same size holding copy 0 instead, so the search may start
+    # without bit 1
+    cand = ((1 << 2 * g.n) - 1) ^ 2
+    return g.n - _max_independent_set(2 * g.n, _adjacency_masks(g, doubled=True), cand)
 
 
 def max_cut(g: Graph, limit: Optional[int] = None) -> int:
     """Maximum cut size over all 2^(n-1) bipartitions (vertex n-1 of the
-    degree order pinned to side 0).
+    degree order pinned to side 0).  Bipartite inputs short-circuit to m.
 
     Doubling builds the cut value of every bipartition of the first
     ``head`` = min(n - 1, 20) vertices in one table, in place: vertex k
@@ -135,6 +143,8 @@ def max_cut(g: Graph, limit: Optional[int] = None) -> int:
         raise OracleLimitError("max cut", g.n, limit)
     if g.m == 0:
         return 0
+    if is_bipartite(g)[0]:
+        return g.m
     n = g.n
     adj = _adjacency_masks(g)
     head = min(n - 1, 20)

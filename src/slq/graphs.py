@@ -9,7 +9,6 @@ vertex has an edge) and admitted only through ``allow_isolated``.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -202,25 +201,28 @@ def generate_regular_circulant(n: int, k: int) -> Graph:
 
 
 def _prufer_tree_edges(n: int, rng: SplitMix64):
-    """Uniform labeled tree on n vertices from a random Prufer sequence."""
+    """Uniform labeled tree on n vertices from a random Prufer sequence,
+    decoded in linear time: ``ptr`` scans up for the smallest leaf, and a
+    vertex that becomes a leaf below ``ptr`` is the next smallest at once."""
     if n == 1:
         return []
     seq = rng.below_each(np.full(n - 2, n))
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    leaves = [v for v in range(n) if degree[v] == 1]
-    heapq.heapify(leaves)
+    degree = (np.bincount(np.asarray(seq, dtype=np.int64), minlength=n) + 1).tolist()
+    ptr = degree.index(1)
+    leaf = ptr
     edges = []
     for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((min(leaf, x), max(leaf, x)))
+        edges.append((leaf, x) if leaf < x else (x, leaf))
         degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    u = heapq.heappop(leaves)
-    v = heapq.heappop(leaves)
-    edges.append((min(u, v), max(u, v)))
+        if degree[x] == 1 and x < ptr:
+            leaf = x
+        else:
+            ptr += 1
+            while degree[ptr] != 1:
+                ptr += 1
+            leaf = ptr
+    # vertex n - 1 is never the smallest of two leaves, so it stays to the end
+    edges.append((leaf, n - 1))
     return edges
 
 
@@ -255,14 +257,16 @@ def generate_random_connected(n: int, m: int, seed: int) -> Graph:
         # + j - i - 1, by skipping the tree ranks at or below it
         i, j = edges.T
         tree_ranks = np.sort(i * (2 * n - i - 1) // 2 + j - i - 1)
-        picks = np.array(picks, dtype=np.int64)
+        # build_graph sorts the edges, so the picks may be sorted first; the
+        # two searches below then take their keys in order, which at
+        # m = 40n is several times faster than in draw order
+        picks = np.sort(np.array(picks, dtype=np.int64))
         ranks = picks + np.searchsorted(tree_ranks - np.arange(n - 1), picks, side="right")
-        # invert the rank: the float root of the row-start quadratic, then an
-        # integer correction by one row either way
-        rows = ((2 * n - 1 - np.sqrt((2.0 * n - 1) ** 2 - 8.0 * ranks)) // 2).astype(np.int64)
-        rows += (rows + 1) * (2 * n - rows - 2) // 2 <= ranks
-        rows -= rows * (2 * n - rows - 1) // 2 > ranks
-        cols = ranks - rows * (2 * n - rows - 1) // 2 + rows + 1
+        # invert the rank through the exact table of row starts
+        row = np.arange(n - 1, dtype=np.int64)
+        starts = row * (2 * n - row - 1) // 2
+        rows = np.searchsorted(starts, ranks, side="right") - 1
+        cols = ranks - starts[rows] + rows + 1
         edges = np.concatenate((edges, np.stack((rows, cols), axis=1)))
     return build_graph(n, edges)
 

@@ -21,6 +21,8 @@ from slq import (
     vertex_bipartiteness,
     vertex_cover_number,
 )
+from slq import combinatorics
+from slq.combinatorics import _adjacency_masks, _max_independent_set
 from slq.report import parse_graph_spec
 from slq.validation import small_connected_sample, standard_corpus
 
@@ -352,6 +354,37 @@ class TestAgainstReferences:
         assert peak < 8 * 2**20
 
 
+# the members of the oracle_small benchmark workload, with their vb
+ORACLE_SMALL_VB = {
+    "complete:16": 14,
+    "complete:17": 15,
+    "complete:18": 16,
+    "cycle:19": 1,
+    "kbip:8,10": 0,
+    "rand:n=16,m=32,seed=8631957831668394588": 4,
+    "rand:n=16,m=48,seed=7692986104271406305": 6,
+    "rand:n=16,m=64,seed=2073255812448292667": 7,
+    "rand:n=17,m=34,seed=2384282141814561249": 4,
+    "rand:n=17,m=51,seed=1295983908386715082": 7,
+    "rand:n=17,m=68,seed=2177544841222198934": 8,
+    "rand:n=18,m=36,seed=393734565146676707": 5,
+    "rand:n=18,m=54,seed=2957421043113230456": 7,
+    "rand:n=18,m=72,seed=2111055161533036032": 8,
+    "rand:n=19,m=38,seed=9012881196754619843": 3,
+    "rand:n=19,m=57,seed=190637571743043143": 7,
+    "rand:n=19,m=76,seed=8628841098075897184": 9,
+    "rand:n=20,m=40,seed=6498665209168132836": 3,
+    "rand:n=20,m=60,seed=7955836555317649619": 7,
+    "rand:n=20,m=80,seed=3877864773555672700": 9,
+}
+
+
+def full_candidate_vb(g) -> int:
+    """Oracle: n - alpha(G □ K2) searched over every vertex of G □ K2,
+    both copies of the rank-0 vertex included."""
+    return g.n - _max_independent_set(2 * g.n, _adjacency_masks(g, doubled=True))
+
+
 class TestSearchSize:
     """Deterministic caps on the branch and bound, counted in calls to its
     nested ``expand`` rather than timed.  Without the degree order the
@@ -366,9 +399,64 @@ class TestSearchSize:
 
     @pytest.mark.parametrize("m, vb", [(322, 25), (634, 33)])
     def test_paper_rows(self, m, vb):
+        # the search makes 2,267 calls on m = 322 and 168 on m = 634
         _, g = parse_graph_spec(f"rand:n=40,m={m},seed=1")
-        value = under_expand_cap(lambda: vertex_bipartiteness(g, limit=40), self.CAP)
+        cap = {322: 2_500, 634: 200}[m]
+        value = under_expand_cap(lambda: vertex_bipartiteness(g, limit=40), cap)
         assert value == vb == natural_order_vb(g)
+
+    def test_oracle_small_members(self):
+        # 868 calls together
+        graphs = {spec: parse_graph_spec(spec)[1] for spec in ORACLE_SMALL_VB}
+        values = under_expand_cap(
+            lambda: {spec: vertex_bipartiteness(g) for spec, g in graphs.items()}, 900
+        )
+        assert values == ORACLE_SMALL_VB
+
+    @pytest.mark.parametrize("n", [16, 17, 18])
+    def test_complete_graphs_take_two_calls(self, n):
+        # the greedy cover of K_n □ K2 pairs the two copies of each vertex;
+        # with both copies of the rank-0 vertex left in, the search takes
+        # 2n - 3 calls
+        g = generate_named("complete", n)
+        assert under_expand_cap(lambda: vertex_bipartiteness(g), 2) == n - 2
+
+
+class TestCopySwapSymmetry:
+    def test_reduced_search_equals_full_search(self):
+        graphs = [g for _, g in CORPUS if g.n <= 30 and not is_bipartite(g)[0]]
+        assert len(graphs) == 182
+        for g in graphs:
+            assert vertex_bipartiteness(g, limit=30) == full_candidate_vb(g), g
+
+    def test_candidate_mask_restricts_the_search(self):
+        # C_5 has alpha 2; without vertices 0 and 1 it is the path 2-3-4
+        c5 = generate_named("cycle", 5)
+        adj = _adjacency_masks(c5)
+        assert _max_independent_set(5, adj) == 2
+        assert _max_independent_set(5, adj, 0b11100) == 2
+        assert _max_independent_set(5, adj, 0b01100) == 1
+
+
+class TestMaxCutOfBipartiteGraphs:
+    def test_no_table_is_built(self, monkeypatch):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return _adjacency_masks(*args, **kwargs)
+
+        monkeypatch.setattr(combinatorics, "_adjacency_masks", spy)
+        sides = ((1, 1), (3, 4), (8, 10), (12, 12))
+        graphs = [generate_named("complete_bipartite", pq) for pq in sides]
+        graphs += [generate_named("cycle", n) for n in (4, 10, 20, 24)]
+        for g in graphs:
+            assert edge_bipartiteness(g) == 0
+            assert max_cut(g) == g.m
+        assert calls == []
+        # a non-bipartite graph still builds its masks
+        assert edge_bipartiteness(generate_named("cycle", 5)) == 1
+        assert len(calls) == 1
 
 
 class TestDensityCondition:

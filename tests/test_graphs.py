@@ -1,5 +1,6 @@
 """Graph construction, named families, seeded generation, edge-list I/O."""
 
+import heapq
 import random
 import re
 import tracemalloc
@@ -281,6 +282,108 @@ def reference_random_connected(n, m, seed):
         rng.shuffle_prefix(pool, extra)
         tree.extend(pool[:extra])
     return build_graph(n, tree)
+
+
+def heap_prufer_tree_edges(n, rng):
+    """The heap decoder, kept as the reference: the smallest leaf is popped
+    from a min-heap at every step."""
+    if n == 1:
+        return []
+    seq = rng.below_each(np.full(n - 2, n))
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((min(leaf, x), max(leaf, x)))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    u = heapq.heappop(leaves)
+    v = heapq.heappop(leaves)
+    edges.append((min(u, v), max(u, v)))
+    return edges
+
+
+def float_root_random_connected(n, m, seed):
+    """The sampler before the row-start table, kept as the reference: the
+    heap decoder, and pair ranks inverted by the float root of the
+    row-start quadratic with an integer correction by one row either way.
+    Returns the edge array of the graph."""
+    rng = SplitMix64(seed)
+    edges = np.array(heap_prufer_tree_edges(n, rng), dtype=np.int64).reshape(-1, 2)
+    extra = m - (n - 1)
+    if extra:
+        size = n * (n - 1) // 2 - (n - 1)
+        moved = {}
+        picks = []
+        for k, offset in enumerate(rng.below_each(size - np.arange(extra))):
+            j = k + offset
+            picks.append(moved.get(j, j))
+            moved[j] = moved.get(k, k)
+        i, j = edges.T
+        tree_ranks = np.sort(i * (2 * n - i - 1) // 2 + j - i - 1)
+        picks = np.array(picks, dtype=np.int64)
+        ranks = picks + np.searchsorted(tree_ranks - np.arange(n - 1), picks, side="right")
+        rows = ((2 * n - 1 - np.sqrt((2.0 * n - 1) ** 2 - 8.0 * ranks)) // 2).astype(np.int64)
+        rows += (rows + 1) * (2 * n - rows - 2) // 2 <= ranks
+        rows -= rows * (2 * n - rows - 1) // 2 > ranks
+        cols = ranks - rows * (2 * n - rows - 1) // 2 + rows + 1
+        edges = np.concatenate((edges, np.stack((rows, cols), axis=1)))
+    return build_graph(n, edges).edge_array
+
+
+def m_classes(n):
+    """Edge counts from each density class on n vertices: the tree, one
+    extra edge, sparse, half of all pairs, one pair short of complete, and
+    complete; every edge count up to n = 12."""
+    top = n * (n - 1) // 2
+    if n <= 12:
+        return range(n - 1, top + 1)
+    return sorted({m for m in (n - 1, n, 2 * n, top // 2, top - 1, top) if n - 1 <= m <= top})
+
+
+# the four table_large graphs of the benchmark at its default seed
+TABLE_LARGE_SPECS = (
+    (500, 5000, 8631957831668394588),
+    (1000, 10000, 7692986104271406305),
+    (1500, 15000, 2073255812448292667),
+    (800, 32000, 2384282141814561249),
+)
+
+
+class TestGeneratorReference:
+    def test_decoder_matches_heap_decoder(self):
+        for n in range(1, 61):
+            for seed in range(4):
+                assert _prufer_tree_edges(n, SplitMix64(seed)) == heap_prufer_tree_edges(
+                    n, SplitMix64(seed)
+                ), (n, seed)
+
+    def test_small_sizes_every_m_class(self):
+        for n in range(2, 61):
+            for m in m_classes(n):
+                for seed in (0, 1, 2**63 + 5, 2**64 - 1):
+                    assert np.array_equal(
+                        generate_random_connected(n, m, seed).edge_array,
+                        float_root_random_connected(n, m, seed),
+                    ), (n, m, seed)
+
+    def test_standard_corpus_and_table_large(self, corpus):
+        specs = list(TABLE_LARGE_SPECS)
+        for label, _ in corpus:
+            match = re.fullmatch(r"rand:n=(\d+),m=(\d+),seed=(\d+)", label)
+            if match:
+                specs.append(tuple(int(x) for x in match.groups()))
+        assert len(specs) == 4 + 420
+        for n, m, seed in specs:
+            assert np.array_equal(
+                generate_random_connected(n, m, seed).edge_array,
+                float_root_random_connected(n, m, seed),
+            ), (n, m, seed)
 
 
 class TestRandomConnected:
