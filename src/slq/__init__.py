@@ -38,6 +38,7 @@ from .graphs import (
     degree_profile,
     generate_named,
     generate_random_connected,
+    generate_random_connected_many,
     generate_regular_circulant,
     is_bipartite,
     is_connected,

@@ -5,16 +5,25 @@ Vertices are 0-indexed.  A graph stores its edges once, as a read-only array
 of pairs i < j in lexicographic order, so equal graphs compare and hash equal.
 Isolated vertices are rejected by default (the spread bounds assume every
 vertex has an edge) and admitted only through ``allow_isolated``.
+
+A seeded random connected graph is a Prufer tree plus a partial
+Fisher-Yates sample of the other pairs, built in batches of whole-array
+work.  The shuffle's picks need no step loop: step k swaps positions k and
+j >= k, so position k is never touched again, and just before step k a
+position p holds what the last earlier step that targeted p wrote there,
+which is what position k' held just before its step k' (p itself if no
+earlier step targeted p).  Pointer jumping resolves these links.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .rng import SplitMix64
+from .rng import SplitMix64, below_streams
 
 
 class GraphError(ValueError):
@@ -199,20 +208,21 @@ def generate_regular_circulant(n: int, k: int) -> Graph:
 # ---------------------------------------------------------------------------
 # seeded random connected graphs
 
+# the random graphs of one batch hold at most this many edges together, so
+# its transient arrays (about 50 bytes per edge) stay small beside them
+_BATCH_EDGES = 1024
 
-def _prufer_tree_edges(n: int, rng: SplitMix64):
-    """Uniform labeled tree on n vertices from a random Prufer sequence,
-    decoded in linear time: ``ptr`` scans up for the smallest leaf, and a
-    vertex that becomes a leaf below ``ptr`` is the next smallest at once."""
-    if n == 1:
-        return []
-    seq = rng.below_each(np.full(n - 2, n))
-    degree = (np.bincount(np.asarray(seq, dtype=np.int64), minlength=n) + 1).tolist()
+
+def _prufer_decode(n: int, seq: list, degree: list, ends: list) -> None:
+    """Append to ``ends`` the endpoints (lo, hi) of each edge of the tree
+    with Prufer sequence ``seq``, in decode order; ``degree[v]`` is one
+    plus the count of v in seq, and is used up.  Linear time: ``ptr``
+    scans up for the smallest leaf, and a vertex that becomes a leaf below
+    ``ptr`` is the next smallest at once."""
     ptr = degree.index(1)
     leaf = ptr
-    edges = []
     for x in seq:
-        edges.append((leaf, x) if leaf < x else (x, leaf))
+        ends += (leaf, x) if leaf < x else (x, leaf)
         degree[x] -= 1
         if degree[x] == 1 and x < ptr:
             leaf = x
@@ -222,8 +232,163 @@ def _prufer_tree_edges(n: int, rng: SplitMix64):
                 ptr += 1
             leaf = ptr
     # vertex n - 1 is never the smallest of two leaves, so it stays to the end
-    edges.append((leaf, n - 1))
-    return edges
+    ends += (leaf, n - 1)
+
+
+def _prufer_tree_edges(n: int, rng: SplitMix64):
+    """Uniform labeled tree on n vertices from a Prufer sequence drawn
+    with ``rng.below(n)``, as (lo, hi) pairs in decode order."""
+    if n == 1:
+        return []
+    seq = [rng.below(n) for _ in range(n - 2)]
+    degree = [1] * n
+    for x in seq:
+        degree[x] += 1
+    ends = []
+    _prufer_decode(n, seq, degree, ends)
+    return list(zip(ends[::2], ends[1::2]))
+
+
+def _fisher_yates_picks(targets: np.ndarray, steps: np.ndarray, base=0) -> np.ndarray:
+    """The value each step reads in a partial Fisher-Yates shuffle of the
+    positions 0, 1, 2, ...: step k swaps positions k and ``targets[k]`` >= k
+    and reads the value it moves to position k.  ``steps`` holds k; in a
+    batch, ``base`` offsets each shuffle's positions so that no two share
+    a key.
+
+    No step loop runs.  Position k is never touched after step k, so just
+    before step k position p holds what the last earlier step that
+    targeted p wrote there, which is the value position k' held just before
+    its step k'; if no earlier step targeted p it holds p.  These "last
+    earlier write" links form a forest over the steps, resolved by pointer
+    jumping."""
+    if not len(targets):
+        return targets
+    keys = targets + base
+    order = keys.argsort(kind="stable")  # steps by target, in step order
+    keys = keys[order]
+    step = np.arange(len(order))
+    # the last earlier step with the same target, or the step itself
+    prev = step.copy()
+    same = keys[1:] == keys[:-1]
+    prev[order[1:][same]] = order[:-1][same]
+    # the step that last wrote position k before step k: the last step that
+    # targets k, unless that is step k itself, which then stays a root; its
+    # value is never read, as no later step targets k
+    at = keys.searchsorted(steps + base, side="right") - 1
+    parent = np.where(keys[at] == steps + base, order[at], step)
+    while True:
+        up = parent[parent]
+        if (up == parent).all():
+            break
+        parent = up
+    return np.where(prev == step, targets, steps[parent[prev]])
+
+
+def _random_connected(specs) -> list:
+    """The graphs of checked (n, m, seed) specs, built in one batch.
+
+    Per-graph terms are spread over the draws, steps and edges of their
+    graph.  A key adds to a pair rank the number of pairs of the graphs
+    before its graph, which keeps the graphs apart in every sort and
+    search.  A lone spec keeps its terms as Python ints and has no keys."""
+    ns, ms = [n for n, _, _ in specs], [m for _, m, _ in specs]
+    if len(specs) == 1:
+        n, m = ns[0], ms[0]
+
+        def spread(x, counts):
+            return x
+
+        def before(x):
+            return 0
+
+    else:
+        n, m = np.array(ns), np.array(ms)
+        spread = np.repeat
+
+        def before(x):
+            return np.cumsum(x) - x
+
+    pairs = n * (n - 1) // 2
+    base, first, trees_before = before(pairs), before(n), before(n - 1)
+    # each stream draws n - 2 Prufer entries, then the offsets of a partial
+    # Fisher-Yates over the non-tree pairs; step k of it draws below size - k
+    size, extra, draws = pairs - n + 1, m - n + 1, m - 1
+    k = np.arange(sum(ms) - len(ms)) - spread(before(draws) + n - 2, draws)
+    shuffled = k >= 0
+    bounds = np.where(shuffled, spread(size, draws) - k, spread(n, draws))
+    values = below_streams([seed for _, _, seed in specs], [c - 1 for c in ms], bounds)[0]
+    values = values.view(np.int64)  # every bound is below 2^63
+    seqs = values[~shuffled]
+    degree = (np.bincount(seqs + spread(first, n - 2), minlength=sum(ns)) + 1).tolist()
+    steps = k[shuffled]
+    targets = steps + values[shuffled]
+    del k, shuffled, bounds, values  # the largest transients go first
+    seqs, ends, i, j = seqs.tolist(), [], 0, 0
+    for count in ns:
+        _prufer_decode(count, seqs[i : i + count - 2], degree[j : j + count], ends)
+        i, j = i + count - 2, j + count
+    u, v = np.array(ends, dtype=np.int64).reshape(-1, 2).T
+    # a pair (i, j) has rank i (2n - i - 1)/2 + j - i - 1 in lexicographic
+    # order; the tree layout also holds one row start per row 0..n-2
+    n_tree, base_tree = spread(n, n - 1), spread(base, n - 1)
+    row = np.arange(len(u)) - spread(trees_before, n - 1)
+    starts = (row * (2 * n_tree - row - 1) >> 1) + base_tree
+    tree = (u * (2 * n_tree - u - 1) >> 1) + v - u - 1 + base_tree
+    tree.sort()
+    tree -= row
+    del seqs, degree, ends, u, v, n_tree, base_tree, row
+    # the pick at position p of the non-tree pairs has rank p plus the number
+    # of sorted tree ranks T_r with T_r - r <= p.  Sorted together, the keys
+    # 2 (T_r - r) and 2 p + 1 list all ranks in order, and the tree keys at
+    # or before a pick count the tree ranks it skips
+    base_steps = spread(base, extra)
+    picks = _fisher_yates_picks(targets, steps, base_steps)
+    keys = np.concatenate((2 * tree, 2 * (picks + base_steps) + 1))
+    del targets, steps, tree, picks
+    keys.sort()
+    is_tree = 1 - (keys & 1)
+    ranks = (keys >> 1) + is_tree.cumsum() - is_tree - spread(trees_before, m)
+    del keys, is_tree
+    # invert each rank through the exact table of row starts of its graph
+    at = starts.searchsorted(ranks, side="right") - 1
+    edges = np.empty((len(ranks), 2), dtype=np.int64)
+    edges[:, 0] = at - spread(trees_before, m)
+    edges[:, 1] = ranks - starts[at] + edges[:, 0] + 1
+    degrees = np.bincount(edges.ravel() + spread(first, 2 * m), minlength=sum(ns))
+    edges.flags.writeable = False
+    degrees.flags.writeable = False
+    graphs, i, j = [], 0, 0
+    for count, edge_count in zip(ns, ms):
+        graphs.append(Graph(count, edges[i : i + edge_count], degrees[j : j + count]))
+        i, j = i + edge_count, j + count
+    return graphs
+
+
+def generate_random_connected_many(specs) -> list:
+    """``[generate_random_connected(n, m, seed) for n, m, seed in specs]``,
+    built in batches of whole-array work: the draws of every graph at once
+    (one SplitMix64 stream per graph, the Prufer entries first), the
+    Fisher-Yates picks without a step loop, and the tree and pick ranks
+    merged and inverted per graph by keyed sorts and searches.  Only the
+    Prufer decode runs graph by graph.  A batch holds at most
+    ``_BATCH_EDGES`` edges (or one graph), and its keys stay below 2^62."""
+    graphs, batch, edges, pairs = [], [], 0, 0
+    for n, m, seed in specs:
+        n, m = operator.index(n), operator.index(m)
+        if n < 2:
+            raise GraphError("need at least 2 vertices")
+        max_m = n * (n - 1) // 2
+        if not n - 1 <= m <= max_m:
+            raise GraphError(f"edge count must satisfy {n - 1} <= m <= {max_m}")
+        edges, pairs = edges + m, pairs + max_m
+        if batch and (edges > _BATCH_EDGES or pairs >= 2**61):
+            graphs += _random_connected(batch)
+            batch, edges, pairs = [], m, max_m
+        batch.append((n, m, seed))
+    if batch:
+        graphs += _random_connected(batch)
+    return graphs
 
 
 def generate_random_connected(n: int, m: int, seed: int) -> Graph:
@@ -231,44 +396,11 @@ def generate_random_connected(n: int, m: int, seed: int) -> Graph:
 
     A uniform spanning tree is drawn from a Prufer sequence, then the
     remaining m-(n-1) edges are a uniform sample of the non-tree pairs via
-    partial Fisher-Yates over the lexicographic pair list.  Deterministic
-    in (n, m, seed); memory is O(m), never O(n^2).
+    partial Fisher-Yates over the lexicographic pair list, whose picks are
+    resolved without a step loop (see ``_fisher_yates_picks``).
+    Deterministic in (n, m, seed); memory is O(m), never O(n^2).
     """
-    if n < 2:
-        raise GraphError("need at least 2 vertices")
-    max_m = n * (n - 1) // 2
-    if not n - 1 <= m <= max_m:
-        raise GraphError(f"edge count must satisfy {n - 1} <= m <= {max_m}")
-    rng = SplitMix64(seed)
-    edges = np.array(_prufer_tree_edges(n, rng), dtype=np.int64).reshape(-1, 2)
-    extra = m - (n - 1)
-    if extra:
-        # Fisher-Yates over positions 0..size-1 of the sorted non-tree pair
-        # ranks; no draw depends on the contents, so only swapped positions
-        # are stored
-        size = max_m - (n - 1)
-        moved = {}
-        picks = []
-        for k, offset in enumerate(rng.below_each(size - np.arange(extra))):
-            j = k + offset
-            picks.append(moved.get(j, j))
-            moved[j] = moved.get(k, k)
-        # a position becomes a lexicographic pair rank, (i, j) -> i (2n - i - 1)/2
-        # + j - i - 1, by skipping the tree ranks at or below it
-        i, j = edges.T
-        tree_ranks = np.sort(i * (2 * n - i - 1) // 2 + j - i - 1)
-        # build_graph sorts the edges, so the picks may be sorted first; the
-        # two searches below then take their keys in order, which at
-        # m = 40n is several times faster than in draw order
-        picks = np.sort(np.array(picks, dtype=np.int64))
-        ranks = picks + np.searchsorted(tree_ranks - np.arange(n - 1), picks, side="right")
-        # invert the rank through the exact table of row starts
-        row = np.arange(n - 1, dtype=np.int64)
-        starts = row * (2 * n - row - 1) // 2
-        rows = np.searchsorted(starts, ranks, side="right") - 1
-        cols = ranks - starts[rows] + rows + 1
-        edges = np.concatenate((edges, np.stack((rows, cols), axis=1)))
-    return build_graph(n, edges)
+    return generate_random_connected_many([(n, m, seed)])[0]
 
 
 # ---------------------------------------------------------------------------

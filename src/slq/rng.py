@@ -17,10 +17,6 @@ _WEYL = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-# below this many draws, below_each runs the scalar loop: one call costs
-# about 11 us against 0.45 us per scalar draw (measured crossover: 24)
-_SCALAR_DRAWS = 24
-
 
 class SplitMix64:
     """SplitMix64 stream seeded with an arbitrary 64-bit integer."""
@@ -49,24 +45,6 @@ class SplitMix64:
             if u < limit:
                 return u % bound
 
-    def below_each(self, bounds) -> list:
-        """``[self.below(b) for b in bounds]`` for bounds in [1, 2^64),
-        leaving the state where that loop would.  From _SCALAR_DRAWS bounds
-        on, the draws come from ``splitmix64_stream`` at once, and ``below``
-        takes over from the first rejected draw."""
-        bounds = np.asarray(bounds, dtype=np.uint64)
-        if len(bounds) < _SCALAR_DRAWS:
-            return [self.below(b) for b in bounds.tolist()]
-        if (bounds == 0).any():
-            raise ValueError("bound must be positive")
-        u = splitmix64_stream(self.state, len(bounds))
-        # below() keeps u < 2^64 - (2^64 mod b), i.e. u <= MASK64 - (-b mod b)
-        accepted = u <= np.uint64(MASK64) - (np.uint64(0) - bounds) % bounds
-        k = len(bounds) if accepted.all() else int(accepted.argmin())
-        out = (u[:k] % bounds[:k]).tolist()
-        self.state = (self.state + k * _WEYL) & MASK64
-        return out + [self.below(b) for b in bounds[k:].tolist()]
-
     def shuffle_prefix(self, items: list, k: int) -> list:
         """Partial Fisher-Yates: the first k slots become a uniform sample
         without replacement, drawn in place."""
@@ -79,10 +57,56 @@ class SplitMix64:
         return items
 
 
+def _mix(z: np.ndarray) -> np.ndarray:
+    """The output scramble of SplitMix64, applied in place to an array of
+    Weyl states (uint64 arithmetic wraps mod 2^64)."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def splitmix64_stream(seed: int, count: int) -> np.ndarray:
     """The first ``count`` outputs of ``SplitMix64(seed).next_uint64()``,
-    computed at once as uint64 (numpy's uint64 arithmetic wraps mod 2^64)."""
-    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_WEYL) + np.uint64(seed & MASK64)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    computed at once as uint64."""
+    z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(_WEYL)
+    return _mix(z + np.uint64(seed & MASK64))
+
+
+def below_streams(seeds, counts, bounds) -> tuple:
+    """``[SplitMix64(s).below(b) for b in its bounds]`` for many streams at
+    once.  Stream i has seed ``seeds[i]`` and the next ``counts[i]`` entries
+    of ``bounds``, each in [1, 2^64).  Every draw is computed from its
+    stream position in one pass; a stream with a rejected draw continues
+    with ``below`` from its first rejection.  Returns the values as one
+    uint64 array in the order of ``bounds``, and the final state of each
+    stream as a list of ints."""
+    counts = np.asarray(counts, dtype=np.int64)
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    if (bounds == 0).any():
+        raise ValueError("bound must be positive")
+    ends = counts.cumsum()
+    # draw r of the flat order has the Weyl state origin + (r + 1) * WEYL,
+    # where a stream's origin is its seed less WEYL times its first r
+    origins = [
+        (s - (e - c) * _WEYL) & MASK64 for s, e, c in zip(seeds, ends.tolist(), counts.tolist())
+    ]
+    u = np.arange(1, len(bounds) + 1, dtype=np.uint64)
+    u *= np.uint64(_WEYL)
+    u = _mix(np.add(u, np.array(origins, dtype=np.uint64).repeat(counts), out=u))
+    values = u % bounds
+    states = [(o + e * _WEYL) & MASK64 for o, e in zip(origins, ends.tolist())]
+    # below() rejects u >= 2^64 - (2^64 mod b), which implies u >= 2^64 - b
+    stop = 0
+    for r in np.flatnonzero(u >= np.uint64(0) - bounds).tolist():
+        b = int(bounds[r])
+        if r < stop or int(u[r]) < (1 << 64) - (1 << 64) % b:
+            continue  # accepted, or in a stream already continued
+        stream = int(ends.searchsorted(r, side="right"))
+        rng = SplitMix64(origins[stream] + r * _WEYL)
+        stop = int(ends[stream])
+        values[r:stop] = np.array([rng.below(b) for b in bounds[r:stop].tolist()], dtype=np.uint64)
+        states[stream] = rng.state
+    return values, states

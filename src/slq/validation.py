@@ -23,7 +23,7 @@ from .graphs import (
     Graph,
     build_graph,
     generate_named,
-    generate_random_connected,
+    generate_random_connected_many,
     is_bipartite,
 )
 from .minmax import (
@@ -121,6 +121,22 @@ def named_corpus(max_n: int = 12):
     return out
 
 
+def _random_graphs(count: int, seed: int, min_n: int, max_n: int, cap) -> list:
+    """``count`` labelled seeded random connected graphs.  The specs come
+    from one master stream: n in min_n..max_n, m in n - 1..cap(n), then the
+    graph's seed; the graphs are then built in batches."""
+    master = SplitMix64(seed)
+    specs = []
+    for _ in range(count):
+        n = min_n + master.below(max_n - min_n + 1)
+        m = (n - 1) + master.below(cap(n) - (n - 1) + 1)
+        specs.append((n, m, master.next_uint64()))
+    return [
+        (f"rand:n={n},m={m},seed={gseed}", g)
+        for (n, m, gseed), g in zip(specs, generate_random_connected_many(specs))
+    ]
+
+
 def random_corpus(count: int = 420, max_n: int = 60, seed: int = 20240817):
     """Seeded random connected graphs, n in 5..max_n.
 
@@ -128,20 +144,9 @@ def random_corpus(count: int = 420, max_n: int = 60, seed: int = 20240817):
     kept sparse (m <= n + 5) so the exhaustive oracle stays fast; larger
     members draw any edge count up to 3n.
     """
-    master = SplitMix64(seed)
-    out = []
-    for _ in range(count):
-        n = 5 + master.below(max_n - 4)
-        cap = n * (n - 1) // 2
-        if n <= 20:
-            m = (n - 1) + master.below(min(cap, n + 5) - (n - 1) + 1)
-        else:
-            m = (n - 1) + master.below(min(cap, 3 * n) - (n - 1) + 1)
-        gseed = master.next_uint64()
-        out.append(
-            (f"rand:n={n},m={m},seed={gseed}", generate_random_connected(n, m, gseed))
-        )
-    return out
+    return _random_graphs(
+        count, seed, 5, max_n, lambda n: min(n * (n - 1) // 2, n + 5 if n <= 20 else 3 * n)
+    )
 
 
 @lru_cache(maxsize=1)
@@ -152,38 +157,37 @@ def standard_corpus():
 
 def small_connected_sample(count: int = 200, seed: int = 77001, max_n: int = 8):
     """Seeded random connected graphs small enough for every oracle."""
-    master = SplitMix64(seed)
+    return _random_graphs(count, seed, 3, max_n, lambda n: n * (n - 1) // 2)
+
+
+def random_connected_bipartites(specs) -> list:
+    """``random_connected_bipartite(n, seed)`` for each (n, seed) pair, with
+    the random trees built in batches."""
+    trees = generate_random_connected_many([(n, n - 1, seed) for n, seed in specs])
     out = []
-    for _ in range(count):
-        n = 3 + master.below(max_n - 2)
-        cap = n * (n - 1) // 2
-        m = (n - 1) + master.below(cap - (n - 1) + 1)
-        gseed = master.next_uint64()
-        out.append(
-            (f"rand:n={n},m={m},seed={gseed}", generate_random_connected(n, m, gseed))
-        )
+    for tree, (n, seed) in zip(trees, specs):
+        ok, parts = is_bipartite(tree)
+        assert ok
+        part0, part1 = parts
+        present = set(tree.edges)
+        cross = [
+            (min(u, v), max(u, v))
+            for u in part0
+            for v in part1
+            if (min(u, v), max(u, v)) not in present
+        ]
+        cross.sort()
+        rng = SplitMix64(seed ^ 0x5EED5EED5EED5EED)
+        extra = rng.below(len(cross) + 1) if cross else 0
+        rng.shuffle_prefix(cross, extra)
+        out.append(build_graph(n, list(tree.edges) + cross[:extra]))
     return out
 
 
 def random_connected_bipartite(n: int, seed: int) -> Graph:
     """Random connected bipartite graph: a random tree plus a random
     number of extra edges across its (unique) 2-coloring."""
-    tree = generate_random_connected(n, n - 1, seed)
-    ok, parts = is_bipartite(tree)
-    assert ok
-    part0, part1 = parts
-    present = set(tree.edges)
-    cross = [
-        (min(u, v), max(u, v))
-        for u in part0
-        for v in part1
-        if (min(u, v), max(u, v)) not in present
-    ]
-    cross.sort()
-    rng = SplitMix64(seed ^ 0x5EED5EED5EED5EED)
-    extra = rng.below(len(cross) + 1) if cross else 0
-    rng.shuffle_prefix(cross, extra)
-    return build_graph(n, list(tree.edges) + cross[:extra])
+    return random_connected_bipartites([(n, seed)])[0]
 
 
 def random_unit_vector(n: int, rng: SplitMix64) -> np.ndarray:
@@ -297,44 +301,36 @@ def check_equality_fixtures(report: Optional[ValidationReport] = None) -> Valida
         if abs(got - want) > SANDWICH_TOL:
             rep.fixture_failures.append(f"{label}: got {got!r}, expected {want!r}")
 
+    # one GraphData, and so one spectrum, per fixture graph
+    @lru_cache(maxsize=None)
+    def named(family, params):
+        return GraphData(generate_named(family, params))
+
     for n in range(2, 31):
-        expect(
-            f"s_Q(path:{n})",
-            GraphData(generate_named("path", n)).s_q,
-            2.0 + 2.0 * np.cos(np.pi / n),
-        )
-    for label, g in (
-        ("star:3", generate_named("star", 3)),
-        ("complete:4", generate_named("complete", 4)),
-        ("cycle:6", generate_named("cycle", 6)),
-        ("cycle:8", generate_named("cycle", 8)),
-    ):
-        expect(f"s_Q({label})", GraphData(g).s_q, 4.0)
+        expect(f"s_Q(path:{n})", named("path", n).s_q, 2.0 + 2.0 * np.cos(np.pi / n))
+    for family, k in (("star", 3), ("complete", 4), ("cycle", 6), ("cycle", 8)):
+        expect(f"s_Q({family}:{k})", named(family, k).s_q, 4.0)
     for n in range(5, 13):
-        d = GraphData(generate_named("kn1uk1", n))
+        d = named("kn1uk1", n)
         expect(f"s_Q(kn1uk1:{n})", d.s_q, 2.0 * n - 4.0)
         expect(f"global_2n4(kn1uk1:{n})", bounds.ub_global_2n4(d), 2.0 * n - 4.0)
     for k in range(1, 9):
-        d = GraphData(generate_named("complete_bipartite", (k, k)))
+        d = named("complete_bipartite", (k, k))
         expect(f"mirsky_q(kbip:{k},{k})", bounds.ub_mirsky_q(d), 2.0 * k)
         expect(f"s_Q(kbip:{k},{k})", d.s_q, 2.0 * k)
-    for i in range(20):
-        n = 4 + SplitMix64(990000 + i).below(13)
-        d = GraphData(random_connected_bipartite(n, 990100 + i))
-        expect(
-            f"mu1_minus_vb(bipartite n={n} seed={990100 + i})",
-            bounds.lb_mu1_minus_vb(d),
-            d.s_q,
-        )
+    specs = [(4 + SplitMix64(990000 + i).below(13), 990100 + i) for i in range(20)]
+    for (n, seed), g in zip(specs, random_connected_bipartites(specs)):
+        d = GraphData(g)
+        expect(f"mu1_minus_vb(bipartite n={n} seed={seed})", bounds.lb_mu1_minus_vb(d), d.s_q)
     for k in range(1, 9):
-        d = GraphData(generate_named("complete", k + 1))
+        d = named("complete", k + 1)
         expect(f"cubic_moment(complete:{k + 1})", bounds.lb_cubic_moment(d), k + 1.0)
         expect(f"s_Q(complete:{k + 1})", d.s_q, k + 1.0)
     for n in range(2, 16):
-        d = GraphData(generate_named("path", n))
+        d = named("path", n)
         expect(f"path_universal(path:{n})", bounds.lb_path_universal(d), d.s_q)
     for n in range(3, 16, 2):
-        d = GraphData(generate_named("cycle", n))
+        d = named("cycle", n)
         expect(f"path_universal(cycle:{n})", bounds.lb_path_universal(d), d.s_q)
     return rep
 

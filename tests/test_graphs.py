@@ -16,6 +16,7 @@ from slq import (
     degree_profile,
     generate_named,
     generate_random_connected,
+    generate_random_connected_many,
     generate_regular_circulant,
     is_bipartite,
     is_connected,
@@ -24,9 +25,9 @@ from slq import (
     write_edge_list,
 )
 from slq.combinatorics import independence_number, vertex_bipartiteness
-from slq.graphs import _prufer_tree_edges
-from slq import rng as rng_module
-from slq.rng import SplitMix64, splitmix64_stream
+from slq import graphs as graphs_module
+from slq.graphs import _fisher_yates_picks, _prufer_tree_edges
+from slq.rng import SplitMix64, below_streams, splitmix64_stream
 from slq.validation import small_connected_sample, standard_corpus
 
 # strategy: (n, m, seed) triples that always admit a connected graph
@@ -289,7 +290,7 @@ def heap_prufer_tree_edges(n, rng):
     from a min-heap at every step."""
     if n == 1:
         return []
-    seq = rng.below_each(np.full(n - 2, n))
+    seq = [rng.below(n) for _ in range(n - 2)]
     degree = [1] * n
     for x in seq:
         degree[x] += 1
@@ -320,7 +321,7 @@ def float_root_random_connected(n, m, seed):
         size = n * (n - 1) // 2 - (n - 1)
         moved = {}
         picks = []
-        for k, offset in enumerate(rng.below_each(size - np.arange(extra))):
+        for k, offset in enumerate([rng.below(size - k) for k in range(extra)]):
             j = k + offset
             picks.append(moved.get(j, j))
             moved[j] = moved.get(k, k)
@@ -384,6 +385,77 @@ class TestGeneratorReference:
                 generate_random_connected(n, m, seed).edge_array,
                 float_root_random_connected(n, m, seed),
             ), (n, m, seed)
+
+
+def dict_loop_picks(offsets):
+    """The Fisher-Yates step loop, kept as the reference: only the
+    positions a step has moved are stored."""
+    moved, picks = {}, []
+    for k, offset in enumerate(offsets):
+        j = k + offset
+        picks.append(moved.get(j, j))
+        moved[j] = moved.get(k, k)
+    return picks
+
+
+def mixed_specs():
+    """A batch of every kind: n = 2, trees, complete graphs, one pair short
+    of complete, sparse and dense middles, a repeated spec and the four
+    table_large graphs."""
+    specs = [(2, 1, 5), (3, 3, 0), (7, 6, 11), (9, 35, 2**64 - 1), (9, 36, 3)]
+    specs += [(n, n * (n - 1) // 2, n) for n in (4, 12, 25)]
+    specs += [(30, 100, 4), (30, 100, 4), (40, 779, 8), (60, 180, 2**63 + 5)]
+    return specs + [(16, 48, 7692986104271406305)] + list(TABLE_LARGE_SPECS)
+
+
+class TestGeneratorBatch:
+    def test_mixed_batch_matches_each_spec_and_the_reference(self, monkeypatch):
+        specs = mixed_specs()
+        expected = [float_root_random_connected(*spec) for spec in specs]
+        for (n, m, seed), edges in zip(specs, expected):
+            g = generate_random_connected(n, m, seed)
+            assert np.array_equal(g.edge_array, edges), (n, m, seed)
+            assert np.array_equal(g.degrees, np.bincount(edges.ravel(), minlength=n))
+        # split by hand at every spec, and by the batch budget at every
+        # edge count: one graph per batch, a few, and all small ones at once
+        for cut in range(len(specs) + 1):
+            graphs = generate_random_connected_many(specs[:cut])
+            graphs += generate_random_connected_many(specs[cut:])
+            assert [g.n for g in graphs] == [n for n, _, _ in specs]
+            for g, edges in zip(graphs, expected):
+                assert np.array_equal(g.edge_array, edges)
+        for budget in (1, 40, 200, 10**6):
+            monkeypatch.setattr(graphs_module, "_BATCH_EDGES", budget)
+            for g, edges in zip(generate_random_connected_many(specs), expected):
+                assert np.array_equal(g.edge_array, edges), budget
+                assert np.array_equal(g.degrees, np.bincount(edges.ravel(), minlength=g.n))
+                assert g.edge_array.dtype == g.degrees.dtype == np.int64
+                assert not g.edge_array.flags.writeable and not g.degrees.flags.writeable
+        assert generate_random_connected_many([]) == []
+        with pytest.raises(GraphError):
+            generate_random_connected_many([(5, 4, 1), (5, 11, 1)])
+
+    @pytest.mark.parametrize("steps,spare", [(1, 0), (50, 0), (50, 1), (300, 2), (2000, 3)])
+    def test_picks_equal_the_dict_loop(self, steps, spare):
+        # size is barely above the step count, so most targets collide
+        size = steps + spare
+        rs = np.random.RandomState(steps + spare)
+        k = np.arange(steps)
+        cases = [
+            rs.randint(0, size - k),
+            np.zeros(steps, dtype=np.int64),  # every step keeps its position
+            size - k - 1,  # every step targets the last position
+            np.minimum(rs.randint(0, 3, steps), size - k - 1),  # short hops
+        ]
+        for offsets in cases:
+            picks = _fisher_yates_picks(k + offsets, k)
+            assert picks.tolist() == dict_loop_picks(offsets.tolist())
+        # two shuffles in one batch, kept apart by the base of the second
+        a, b = cases[0], cases[2]
+        picks = _fisher_yates_picks(
+            np.concatenate((k + a, k + b)), np.concatenate((k, k)), np.repeat([0, size], steps)
+        )
+        assert picks.tolist() == dict_loop_picks(a.tolist()) + dict_loop_picks(b.tolist())
 
 
 class TestRandomConnected:
@@ -472,24 +544,24 @@ class TestSplitMix64:
         with pytest.raises(ValueError):
             SplitMix64(1).below(0)
 
-    def test_below_each_is_the_scalar_loop(self):
+    def test_below_streams_is_the_scalar_loop(self):
         # about half of all draws below 2^63 + 1 are rejected, so the scalar
-        # fallback runs; 2^64 - 1 rejects one draw in 2^64, 2^k none
+        # continuation runs; 2^64 - 1 rejects one draw in 2^64, 2^k none
         bounds = [7, 1, 2**63 + 1, 10, 2**64 - 1, 2**32 + 3, 2**40, 2**63 + 1, 3] * 40
-        for seed in (0, 1, 99, 2**64 - 1):
-            scalar, vector = SplitMix64(seed), SplitMix64(seed)
-            expected = [scalar.below(b) for b in bounds]
-            assert vector.below_each(bounds) == expected
-            assert vector.state == scalar.state
-            assert vector.next_uint64() == scalar.next_uint64()
-        # fewer bounds than one stream is worth take the scalar loop itself
-        for count in (0, 1, rng_module._SCALAR_DRAWS - 1, rng_module._SCALAR_DRAWS):
-            scalar, vector = SplitMix64(7), SplitMix64(7)
-            assert vector.below_each(bounds[:count]) == [scalar.below(b) for b in bounds[:count]]
-            assert vector.state == scalar.state
+        seeds = (0, 1, 99, 2**64 - 1, 7, 7, 7, 7)
+        counts = (len(bounds),) * 4 + (0, 1, 23, 24)
+        flat = [b for count in counts for b in bounds[:count]]
+        values, states = below_streams(seeds, counts, flat)
+        at = 0
+        for seed, count, state in zip(seeds, counts, states):
+            scalar = SplitMix64(seed)
+            assert values[at : at + count].tolist() == [scalar.below(b) for b in bounds[:count]]
+            assert state == scalar.state
+            at += count
+        assert values.dtype == np.uint64 and at == len(values)
         for bad in ([3, 0], [3] * 40 + [0]):
             with pytest.raises(ValueError):
-                SplitMix64(1).below_each(bad)
+                below_streams([1], [len(bad)], bad)
 
     def test_shuffle_prefix_is_sample_without_replacement(self):
         rng = SplitMix64(5)

@@ -6,8 +6,13 @@ entries), the P_3 isomorphs (the degree-pair form and its alias), and the
 one corpus graph with an isolated vertex.  Anything else is a bug.
 """
 
+import hashlib
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
+from test_graphs import float_root_random_connected
 
 from slq import (
     CatalogOptions,
@@ -105,6 +110,70 @@ class TestCorpora:
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
         rng2 = SplitMix64(5)
         assert np.array_equal(v, random_unit_vector(6, rng2))
+
+
+def reference_random_graphs(count, seed, small_corpus):
+    """The one-graph-at-a-time corpus loop, kept as the reference: the
+    labels and the edge arrays of the float-root sampler."""
+    master = SplitMix64(seed)
+    out = []
+    for _ in range(count):
+        if small_corpus:
+            n = 3 + master.below(6)
+            m = (n - 1) + master.below(n * (n - 1) // 2 - (n - 1) + 1)
+        else:
+            n = 5 + master.below(56)
+            cap = min(n * (n - 1) // 2, n + 5 if n <= 20 else 3 * n)
+            m = (n - 1) + master.below(cap - (n - 1) + 1)
+        gseed = master.next_uint64()
+        out.append((f"rand:n={n},m={m},seed={gseed}", float_root_random_connected(n, m, gseed)))
+    return out
+
+
+class TestBatchedCorpora:
+    @pytest.mark.parametrize("seed", [20240817, 1, 2])
+    def test_random_corpus_matches_the_reference(self, seed):
+        got = random_corpus(seed=seed)
+        want = reference_random_graphs(420, seed, small_corpus=False)
+        assert [label for label, _ in got] == [label for label, _ in want]
+        for (label, g), (_, edges) in zip(got, want):
+            assert np.array_equal(g.edge_array, edges), label
+
+    def test_small_connected_sample_matches_the_reference(self):
+        got = small_connected_sample()
+        want = reference_random_graphs(200, 77001, small_corpus=True)
+        assert [label for label, _ in got] == [label for label, _ in want]
+        for (label, g), (_, edges) in zip(got, want):
+            assert np.array_equal(g.edge_array, edges), label
+
+    def test_standard_corpus_is_pinned(self, corpus):
+        # recorded from the one-graph-at-a-time generator
+        digest = hashlib.sha256()
+        for label, g in corpus:
+            digest.update(label.encode())
+            digest.update(g.edge_array.astype("<i8").tobytes())
+        assert digest.hexdigest() == (
+            "0c274707cc876434fd11b8182d76d00333751a0991ade7fdc46096b8ea702b48"
+        )
+
+    def test_random_corpus_memory_peak(self):
+        # The one-graph-at-a-time generator peaked at 0.78 MB on a first
+        # call (0.75 MB after), 0.73 MB of it the corpus it returns.  The
+        # bound is that peak plus a tenth, room for the transients of one
+        # batch; all 420 graphs in one batch peak at 1.7 MB.
+        random_corpus()
+        tracemalloc.start()
+        try:
+            random_corpus()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 860_000
+
+    def test_bipartite_batch_matches_one_at_a_time(self):
+        specs = [(4 + SplitMix64(990000 + i).below(13), 990100 + i) for i in range(20)]
+        graphs = validation.random_connected_bipartites(specs)
+        assert graphs == [random_connected_bipartite(n, seed) for n, seed in specs]
 
 
 class TestExclusionPredicate:
@@ -302,6 +371,20 @@ class TestOtherChecks:
     def test_equality_fixtures_all_hold(self):
         rep = check_equality_fixtures()
         assert rep.fixture_failures == []
+
+    def test_equality_fixtures_solve_each_graph_once(self, monkeypatch):
+        made = []
+
+        def recording(g, options=None):
+            made.append(g)
+            return GraphData(g, options)
+
+        monkeypatch.setattr(validation, "GraphData", recording)
+        assert check_equality_fixtures().fixture_failures == []
+        # path:2..30, four s_Q = 4 graphs, kn1uk1:5..12, kbip:k,k for k
+        # 1..8, 20 random bipartite graphs, then complete:2..9 and the odd
+        # cycles 3..15; the path:2..15 and complete:4 met again are reused
+        assert len(made) == 29 + 4 + 8 + 8 + 20 + 7 + 7
 
     def test_identities_all_hold(self):
         rep = check_identities()
