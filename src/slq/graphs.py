@@ -39,7 +39,8 @@ class Graph:
     """Immutable simple graph.  Build through :func:`build_graph`.
 
     ``edge_array`` (m x 2) and ``degrees`` are read-only int64 arrays;
-    ``edges`` holds the same pairs as Python ints, made on first use."""
+    ``edges`` holds the same pairs as Python ints and ``neighbor_index``
+    the neighbours of each vertex, each made on first use."""
 
     n: int
     edge_array: np.ndarray
@@ -54,14 +55,23 @@ class Graph:
         return tuple(map(tuple, self.edge_array.tolist()))
 
     @cached_property
-    def _two_coloring(self):
-        """Breadth-first two-coloring of each component from its smallest
-        vertex: the read-only color array and the number of components."""
+    def neighbor_index(self):
+        """Every vertex's neighbours, ascending, in one read-only array, and
+        the end of each vertex's run in it: the neighbours of v are
+        ``tips[stops[v] - degrees[v]:stops[v]]``."""
         ends = self.edge_array.ravel()
         # a stable sort lists the edges at each vertex in lexicographic
         # order, so its neighbours come out ascending
-        tips = ends[np.argsort(ends, kind="stable") ^ 1].tolist()
-        stops = np.cumsum(self.degrees).tolist()
+        tips = ends[np.argsort(ends, kind="stable") ^ 1]
+        stops = np.cumsum(self.degrees)
+        tips.flags.writeable = stops.flags.writeable = False
+        return tips, stops
+
+    @cached_property
+    def _two_coloring(self):
+        """Breadth-first two-coloring of each component from its smallest
+        vertex: the read-only color array and the number of components."""
+        tips, stops = (a.tolist() for a in self.neighbor_index)
         neighbors = [tips[a:b] for a, b in zip([0] + stops, stops)]
         color = [-1] * self.n
         components = 0

@@ -207,7 +207,8 @@ class Extremes:
     """Top and bottom eigenvalue of a graph matrix, each with an enclosure
     (lo, hi) of the exact value: proved when the values come from Lanczos
     (the top of A and Q by a Collatz-Wielandt bound, or by a Cholesky test
-    when that bound misses; every other end by a Cholesky test), the
+    when that bound misses; every other end by a Cholesky test, which runs
+    on the Schur complement over a low-degree independent set), the
     residual certificate (value +- residual_tol) when they come from the
     dense solve.  For the Laplacian the bottom is
     mu_{n-1}, the second smallest eigenvalue (NaN when n = 1)."""
@@ -272,8 +273,10 @@ def _lanczos_extremes(w: GraphMatrix, steps: int):
         bound is at most theta_1 + delta; otherwise, and always for the
         Laplacian, the Cholesky test runs.  When the matrix is positive
         semidefinite (Q, L + J) and theta_n <= delta, the bottom's outer end
-        is 0.  The n x n buffer of the Cholesky test is allocated only when
-        a factorization runs.
+        is 0.  The Cholesky test eliminates a low-degree independent set S
+        in closed form and factors the rest, an r x r array, r = n - |S|,
+        allocated only when a factorization runs.  Rump's margin grows like
+        r^2, so the reach of the test is set by r, not by n.
     """
     n = w.graph.n
     laplacian = w.kind == "laplacian"
@@ -315,7 +318,6 @@ def _lanczos_extremes(w: GraphMatrix, steps: int):
         basis[k] = r / beta[-1]
     y_top, y_bottom = ritz[:, [-1, 0]].T @ basis[:k]
     delta = 0.5 * RESIDUAL_CONTRACT * scale
-    buffer = None
     # the top: (theta_1 + delta) I - W is positive definite (sign -1); the
     # bottom: W - (theta_n - delta) I is (sign +1), for L on L + J
     w_bottom = GraphMatrix(w.graph, "laplacian", fill=1.0) if laplacian else w
@@ -337,11 +339,8 @@ def _lanczos_extremes(w: GraphMatrix, steps: int):
                 outer = bound
         if not sign * (inner - outer) <= RESIDUAL_CONTRACT * scale:
             return None
-        if not proved:
-            if buffer is None:
-                buffer = np.empty((n, n))
-            if not _positive_definite(buffer, v, sign, outer, delta):
-                return None
+        if not proved and not _positive_definite(v, sign, outer, delta):
+            return None
         enclosure = (inner, outer) if sign < 0 else (outer, inner)
         sides.append(((min if sign < 0 else max)(rho, outer), enclosure))
     (top, top_enclosure), (bottom, bottom_enclosure) = sides
@@ -394,7 +393,32 @@ def _collatz_wielandt(w: GraphMatrix, y):
     return float(_up(z / y).max())
 
 
-def _positive_definite(buffer, w: GraphMatrix, sign: float, shift: float, room: float) -> bool:
+def _elimination_set(w: GraphMatrix) -> np.ndarray:
+    """The vertices that the Cholesky test of w eliminates in closed form,
+    ascending: a maximal independent set of the vertices v with d_v^2 < n,
+    taken greedily in ascending degree order (a stable sort).  Empty when
+    w has a fill, which leaves no entry zero.
+
+    Eliminating v rewrites the d_v^2 entries between its neighbours and
+    takes a row of about n^2 flops off the factorization, so d_v^2 < n is
+    where it pays.
+    """
+    g = w.graph
+    if w.fill:
+        return np.empty(0, dtype=np.int64)
+    degrees = g.degrees
+    candidates = np.flatnonzero(degrees * degrees < g.n)
+    tips, stops = g.neighbor_index
+    blocked = np.zeros(g.n, dtype=bool)
+    chosen = []
+    for v in candidates[np.argsort(degrees[candidates], kind="stable")].tolist():
+        if not blocked[v]:
+            chosen.append(v)
+            blocked[tips[stops[v] - degrees[v]:stops[v]]] = True
+    return np.sort(np.array(chosen, dtype=np.int64))
+
+
+def _positive_definite(w: GraphMatrix, sign: float, shift: float, room: float) -> bool:
     """Prove P = sign * (W - shift I) positive definite for the graph matrix
     w.  False when the proof fails, or when its margin is not below
     ``room``, the distance the caller expects from the spectrum of W to
@@ -402,35 +426,102 @@ def _positive_definite(buffer, w: GraphMatrix, sign: float, shift: float, room: 
 
     S. M. Rump, "Verification of positive definiteness", BIT 46 (2006)
     433-452: if the floating-point Cholesky factorization of a symmetric
-    float matrix B runs to completion, then B + c I is positive definite for
-    any c >= gamma_{n+1} / (1 - gamma_{n+1}) tr(B) + 4n (2(n+2) + max_i b_ii)
-    realmin.  B = P - c I is written into ``buffer`` with every diagonal
-    entry rounded down, so P >= B + c I; the trace and c are rounded up.
+    float matrix B of order r runs to completion, then B + c I is positive
+    definite for any c >= gamma_{r+1} / (1 - gamma_{r+1}) tr(B) + 4r (2(r+2)
+    + max_i b_ii) realmin.
+
+    The test runs on a Schur complement of order r = n - |S|, S the
+    ``_elimination_set`` of w.  S has no inner edges and no fill, so P_SS is
+    diagonal, and P is positive definite exactly when P_SS is and the Schur
+    complement C = P_RR - P_RS P_SS^-1 P_SR over R = V \\ S is.
+      * Lower bounds.  p_i >= pl_i = down(gap_i) > 0 for the computed
+        diagonal gap_i of P, and rh_s = up(1 / pl_s) >= 1 / p_s.  With b_s
+        the +-1 entries of P between s and its neighbours (all in R), and
+        Pl equal to P with pl on its diagonal, C >= Cl = Pl_RR - sum_s rh_s
+        b_s b_s^T.  Each b_s b_s^T is 1 on N(s) x N(s).
+      * Rounding.  F = fl(Cl) subtracts at most K = max_i |N(i) & S| of the
+        rh_s from each entry of Pl_RR, a recursive sum of K + 1 terms, so
+        |F_ij - Cl_ij| <= gamma_K (|Pl_ij| + sum rh_s) (Higham, Accuracy
+        and Stability of Numerical Algorithms, (4.4)).  A row of that bound
+        sums to at most gamma_K (pl_i + d_i + sum_{s in N(i) & S} rh_s d_s),
+        so Cl >= F - eps I, eps the largest row, rounded up.
+      * B = F - (eps + c) I, its diagonal rounded down, and c the margin at
+        order r from tr(F) >= tr(B), rounded up.  If the factorization of B
+        runs to completion, C >= Cl >= F - eps I >= B + c I > 0.
+      * lambda_min(C) >= lambda_min(P), since C^-1 is a principal block of
+        P^-1, so a margin eps + c below ``room`` still leaves room for C.
+      * (i, j) and (j, i) take the same subtractions in the same order, so
+        F is symmetric bit for bit.
+    With S empty (a fill, or no vertex with d^2 < n) eps = 0, and this is
+    the test on the whole of P.  Only the r x r array of B, plus the two
+    that ``np.linalg.cholesky`` makes, is ever allocated.
     """
-    n = w.graph.n
-    diag = w.diag + w.fill
-    gaps = sign * (diag - shift)  # the diagonal of P, up to one rounding
-    if not (gaps > 0.0).all():
+    g = w.graph
+    gaps = sign * (w.diag + w.fill - shift)  # the diagonal of P, up to one rounding
+    low = _down(gaps)
+    if not (low > 0.0).all():
         return False
-    trace = float(gaps.sum()) * (1.0 + _gamma(n + 2))
-    margin = _gamma(n + 1) / (1.0 - _gamma(n + 1)) * trace
-    margin += 4.0 * n * (2.0 * (n + 2) + float(gaps.max())) * _REALMIN
-    margin *= 1.0 + 8.0 * _UNIT_ROUNDOFF
+    eliminated = _elimination_set(w)
+    kept = np.ones(g.n, dtype=bool)
+    kept[eliminated] = False
+    r = g.n - len(eliminated)
+    position = np.cumsum(kept) - 1
+    # the neighbours of each eliminated vertex, one run per vertex
+    tips, stops = g.neighbor_index
+    lengths = g.degrees[eliminated]
+    runs = tips[np.arange(lengths.sum()) + np.repeat(stops[eliminated] - lengths.cumsum(), lengths)]
+    # rh_s of the eliminated vertex of each run entry
+    inverse = np.repeat(_up(1.0 / low[eliminated]), lengths)
+    diagonal = low[kept]
+    np.subtract.at(diagonal, position[runs], inverse)
+    if not (diagonal > 0.0).all():
+        return False
+    eps = 0.0
+    if len(runs):
+        k = int(np.bincount(runs).max())
+        # each row bound is a sum of k + 2 positive terms, each rounded at
+        # most k + 2 times
+        rows = low + g.degrees + np.bincount(runs, inverse * np.repeat(lengths, lengths), g.n)
+        eps = _gamma(k) * float(rows[kept].max()) / (1.0 - _gamma(k + 2))
+    trace = float(diagonal.sum()) * (1.0 + _gamma(r + 2))
+    margin = _gamma(r + 1) / (1.0 - _gamma(r + 1)) * trace
+    margin += 4.0 * r * (2.0 * (r + 2) + float(diagonal.max(initial=0.0))) * _REALMIN
+    margin = (margin + eps) * (1.0 + 16.0 * _UNIT_ROUNDOFF)
     if not margin < room:
         return False
-    buffer.fill(sign * w.fill)
-    u, v = w.graph.edge_array.T
-    buffer[u, v] = sign * (w.off + w.fill)
-    buffer[v, u] = sign * (w.off + w.fill)
-    if sign < 0:
-        buffer[np.diag_indices(n)] = _down(_down(shift - margin) - diag)
-    else:
-        buffer[np.diag_indices(n)] = _down(diag - _up(shift + margin))
+    if not r:  # an edgeless graph: P is its positive diagonal
+        return True
+    b = _schur_complement(w, sign, kept, position, runs, lengths, inverse)
+    b[np.diag_indices(r)] = _down(diagonal - margin)
     try:
-        np.linalg.cholesky(buffer)
+        np.linalg.cholesky(b)
     except np.linalg.LinAlgError:
         return False
     return True
+
+
+def _schur_complement(w: GraphMatrix, sign: float, kept, position, runs, lengths,
+                      inverse) -> np.ndarray:
+    """F of ``_positive_definite`` in a new r x r array, r = kept.sum(),
+    but for its diagonal, which the caller overwrites.  Each eliminated
+    vertex, in ascending order, subtracts its rh_s (``inverse``, one per run
+    entry) from every pair of entries of its run in ``runs``.  The index
+    arrays die on return, before the factorization allocates."""
+    r = int(position[-1]) + 1
+    b = np.full((r, r), sign * w.fill) if w.fill else np.zeros((r, r))
+    u, v = w.graph.edge_array.T
+    if len(runs):
+        inner = kept[u] & kept[v]
+        u, v = position[u[inner]], position[v[inner]]
+    b[u, v] = b[v, u] = sign * (w.off + w.fill)
+    # row by row: each entry of a run of length d is paired with the d
+    # entries of its run
+    per = np.repeat(lengths, lengths)
+    first = np.repeat(lengths.cumsum() - lengths, lengths)
+    rows = position[runs]
+    cols = rows[np.arange(per.sum()) + np.repeat(first - (per.cumsum() - per), per)]
+    np.subtract.at(b.reshape(-1), np.repeat(rows * r, per) + cols, np.repeat(inverse, per))
+    return b
 
 
 @dataclass(frozen=True, eq=False)

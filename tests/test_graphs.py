@@ -615,6 +615,20 @@ class TestBipartiteness:
         assert not is_regular(generate_named("path", 3))
 
 
+class TestNeighborIndex:
+    def test_runs_hold_each_vertex_neighbours_ascending(self):
+        for g in (generate_random_connected(60, 300, seed=4), generate_named("complete", 7),
+                  generate_named("star", 5), build_graph(5, [(0, 4)], allow_isolated=True),
+                  build_graph(3, [], allow_isolated=True)):
+            tips, stops = g.neighbor_index
+            assert stops.tolist() == np.cumsum(g.degrees).tolist()
+            for v in range(g.n):
+                expected = sorted({b for a, b in g.edges if a == v} | {a for a, b in g.edges if b == v})
+                assert tips[stops[v] - g.degrees[v]:stops[v]].tolist() == expected
+            assert not tips.flags.writeable and not stops.flags.writeable
+            assert g.neighbor_index is g.neighbor_index  # built once
+
+
 class TestEdgeListFormat:
     def test_round_trip(self):
         g = generate_random_connected(8, 12, seed=11)

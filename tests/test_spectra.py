@@ -416,7 +416,7 @@ class TestLanczosExtremes:
         for label, g in standard_corpus():
             q = signless_laplacian_matrix(g)
             q1 = float(np.linalg.eigvalsh(q)[-1])
-            args = (np.empty((g.n, g.n)), GraphMatrix(g), -1.0)
+            args = (GraphMatrix(g), -1.0)
             assert not spectra._positive_definite(*args, q1 - 1.0, 1.0)
             # the same test proves a bound just above q_1
             assert spectra._positive_definite(*args, q1 + 1e-6, 1.0)
@@ -470,9 +470,9 @@ def factorizations(monkeypatch):
     signs = []
     original = spectra._positive_definite
 
-    def spy(buffer, w, sign, shift, room):
+    def spy(w, sign, shift, room):
         signs.append(sign)
-        return original(buffer, w, sign, shift, room)
+        return original(w, sign, shift, room)
 
     monkeypatch.setattr(spectra, "_positive_definite", spy)
     return signs
@@ -571,3 +571,153 @@ class TestCollatzWielandt:
         lo, hi = found.bottom_enclosure
         assert lo <= 0.0 <= hi
         assert found.top_enclosure[1] - found.top_enclosure[0] < 1e-9 * found.top
+
+
+def unreduced_positive_definite(w, sign, shift, room):
+    """Reference: Rump's test on the whole n x n matrix P = sign (W - shift
+    I), with no vertex eliminated."""
+    n = w.graph.n
+    diag = w.diag + w.fill
+    gaps = sign * (diag - shift)
+    if not (gaps > 0.0).all():
+        return False
+    trace = float(gaps.sum()) * (1.0 + spectra._gamma(n + 2))
+    margin = spectra._gamma(n + 1) / (1.0 - spectra._gamma(n + 1)) * trace
+    margin += 4.0 * n * (2.0 * (n + 2) + float(gaps.max())) * spectra._REALMIN
+    margin *= 1.0 + 8.0 * spectra._UNIT_ROUNDOFF
+    if not margin < room:
+        return False
+    buffer = np.full((n, n), sign * w.fill)
+    u, v = w.graph.edge_array.T
+    buffer[u, v] = buffer[v, u] = sign * (w.off + w.fill)
+    if sign < 0:
+        buffer[np.diag_indices(n)] = spectra._down(spectra._down(shift - margin) - diag)
+    else:
+        buffer[np.diag_indices(n)] = spectra._down(diag - spectra._up(shift + margin))
+    try:
+        np.linalg.cholesky(buffer)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def reference_elimination_set(g):
+    """A maximal independent set of the vertices v with d_v^2 < n, taken
+    greedily in ascending degree order, ties by vertex, in plain Python."""
+    neighbors = [set() for _ in range(g.n)]
+    for a, b in g.edges:
+        neighbors[a].add(b)
+        neighbors[b].add(a)
+    degree = [len(x) for x in neighbors]
+    chosen = set()
+    for v in sorted((v for v in range(g.n) if degree[v] ** 2 < g.n), key=degree.__getitem__):
+        if not neighbors[v] & chosen:
+            chosen.add(v)
+    return sorted(chosen)
+
+
+# A, Q and L at both ends (sign -1 proves the top, +1 the bottom), L + J at
+# the bottom
+REDUCED_CASES = (("adjacency", 0.0, (-1.0, 1.0)), ("signless", 0.0, (-1.0, 1.0)),
+                 ("laplacian", 0.0, (-1.0, 1.0)), ("laplacian", 1.0, (1.0,)))
+SOUNDNESS_SPECS = TABLE_LARGE + ("rand:n=300,m=3000,seed=5",)
+
+
+def assert_reduced_test_is_sound(g, label):
+    """At 1e-7 max(1, |lambda|) beyond each extreme the reduced test proves
+    P positive definite; as far on the spectrum's side of it, it refuses.
+    The unreduced reference gives the same answers."""
+    for kind, fill, signs in REDUCED_CASES:
+        w = GraphMatrix(g, kind, fill)
+        values = np.linalg.eigvalsh(reference_matrix(g, kind, fill))
+        for sign in signs:
+            exact = float(values[-1] if sign < 0 else values[0])
+            t = 1e-7 * max(1.0, abs(exact))
+            for shift, expected in ((exact - sign * t, True), (exact + sign * t, False)):
+                reduced = spectra._positive_definite(w, sign, shift, t)
+                assert reduced == unreduced_positive_definite(w, sign, shift, t) == expected, (
+                    label, kind, fill, sign, expected)
+
+
+class TestReducedCholesky:
+    """Rump's test on the Schur complement over a low-degree independent set."""
+
+    def test_sound_and_as_decisive_as_the_unreduced_test_on_standard_corpus(self):
+        for label, g in standard_corpus():
+            assert_reduced_test_is_sound(g, label)
+
+    @pytest.mark.parametrize("spec", SOUNDNESS_SPECS)
+    def test_sound_and_as_decisive_as_the_unreduced_test_on_large_graphs(self, spec):
+        _, g = parse_graph_spec(spec)
+        assert_reduced_test_is_sound(g, spec)
+
+    def test_elimination_set_is_a_maximal_independent_set_of_low_degree_vertices(self):
+        graphs = list(standard_corpus()) + [parse_graph_spec(spec) for spec in SOUNDNESS_SPECS]
+        for label, g in graphs:
+            found = spectra._elimination_set(GraphMatrix(g, "adjacency"))
+            assert found.tolist() == reference_elimination_set(g), label
+            for kind in ("signless", "laplacian"):
+                again = spectra._elimination_set(GraphMatrix(g, kind))
+                assert again.tolist() == found.tolist(), (label, kind)
+            chosen = np.zeros(g.n, dtype=bool)
+            chosen[found] = True
+            u, v = g.edge_array.T
+            assert not (chosen[u] & chosen[v]).any(), label  # independent
+            low = g.degrees ** 2 < g.n
+            assert not (chosen & ~low).any(), label
+            # maximal: every other low-degree vertex has a neighbour in it
+            covered = np.bincount(np.concatenate((u[chosen[v]], v[chosen[u]])), minlength=g.n) > 0
+            assert (chosen | covered)[low].all(), label
+            # a fill leaves no entry zero, so nothing is eliminated
+            assert len(spectra._elimination_set(GraphMatrix(g, "laplacian", fill=1.0))) == 0
+        sizes = [len(spectra._elimination_set(GraphMatrix(parse_graph_spec(spec)[1])))
+                 for spec in TABLE_LARGE]
+        # the n = 800 row has minimum degree above sqrt(800): nothing pays
+        assert sizes[3] == 0 and min(sizes[:3]) > 0.15 * 500
+
+    def test_schur_complement_is_symmetric_bit_for_bit(self, monkeypatch):
+        factored = []
+        monkeypatch.setattr(np.linalg, "cholesky", lambda b: factored.append(b.copy()))
+        for spec in SOUNDNESS_SPECS:
+            _, g = parse_graph_spec(spec)
+            for kind, sign in (("signless", 1.0), ("adjacency", 1.0), ("laplacian", -1.0)):
+                w = GraphMatrix(g, kind)
+                shift = -sign * float(g.degrees.max()) * 3.0
+                factored.clear()
+                assert spectra._positive_definite(w, sign, shift, 1.0)
+                (b,) = factored
+                r = g.n - len(spectra._elimination_set(w))
+                assert b.shape == (r, r)
+                assert b.tobytes() == b.T.copy().tobytes(), (spec, kind)
+
+    @pytest.mark.parametrize("m, seed", [(6250, 3), (12500, 1)])
+    def test_adjacency_of_bipartite_covers_needs_no_dense_solve(self, m, seed, factorizations,
+                                                               monkeypatch):
+        # Rump's margin grows like r^2 for the order r of the complement;
+        # at n = 2500 it outgrew delta for the unreduced bottom of A
+        g = bipartite_double_cover(generate_random_connected(1250, m, seed=seed))
+        r = g.n - len(spectra._elimination_set(GraphMatrix(g, "adjacency")))
+        assert g.n == 2500 and r < 2100
+        dense = []
+        original = spectra.eigenvalues
+        monkeypatch.setattr(spectra, "eigenvalues", lambda w: dense.append(w) or original(w))
+        found = spectra.extreme_eigenvalues(GraphMatrix(g, "adjacency"))
+        assert dense == []
+        assert factorizations == [1.0]  # the bottom, proved by one factorization
+        # a bipartite spectrum is symmetric: -lambda_1 is in both enclosures
+        (top_lo, top_hi), (bottom_lo, bottom_hi) = found.top_enclosure, found.bottom_enclosure
+        assert bottom_lo <= -top_lo and -top_hi <= bottom_hi
+        assert top_hi - top_lo < 1e-9 * found.top and bottom_hi - bottom_lo < 1e-9 * found.top
+
+    def test_peak_memory_of_the_largest_table_row(self):
+        # the unreduced test peaked at 38,782,515 bytes here: its n x n
+        # buffer and the n x n factor, n = 1500; the complement has order
+        # r = 1253, so both arrays shrink to r x r
+        _, g = parse_graph_spec(TABLE_LARGE[2])
+        tracemalloc.start()
+        try:
+            spectra.extreme_eigenvalues(GraphMatrix(g))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32_000_000
