@@ -12,22 +12,17 @@ from .bounds import (
     CatalogOptions,
     CatalogOutcome,
     GraphData,
-    barnes_hoffman_lower,
     compare_l1_l2,
     evaluate_catalog,
-    jiang_zhan_lower,
     liu_23_value,
     meg2_value,
-    mirsky_upper,
 )
 from .combinatorics import (
     OracleLimitError,
-    check_density_condition,
     edge_bipartiteness,
     independence_number,
     max_cut,
     vertex_bipartiteness,
-    vertex_cover_number,
 )
 from .graphs import (
     DegreeProfile,
@@ -56,7 +51,6 @@ from .minmax import (
     gradient_search,
     numerical_grad_f_squared,
     one_step_analytic_bound,
-    unit_vector,
 )
 from .rng import SplitMix64
 from .spectra import (

@@ -1,6 +1,5 @@
 """Catalog of closed-form lower and upper bounds on the signless
-Laplacian spread, plus the generic symmetric-matrix spread bounds they
-specialize.
+Laplacian spread.
 
 Every catalog evaluator is a plain function of one ``GraphData`` that
 checks its hypotheses and returns the bound's value.  A catalog entry
@@ -28,67 +27,6 @@ from .spectra import GraphMatrix, eigenvalues, extreme_eigenvalues  # noqa: F401
 
 class BoundNotApplicable(ValueError):
     """The graph fails a bound's hypotheses."""
-
-
-# ---------------------------------------------------------------------------
-# generic symmetric-matrix spread bounds
-
-
-def mirsky_upper(w) -> float:
-    """s(W) <= sqrt(2 ||W||_F^2 - (2/n) (tr W)^2); equality for n = 2.
-
-    The radicand is evaluated as 2 ||W - (tr W / n) I||_F^2, the same
-    quantity without the subtraction that cancels catastrophically when
-    the spread is small next to the entries."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError("matrix must be square")
-    n = w.shape[0]
-    centred = w - float(np.trace(w)) / n * np.eye(n)
-    return float(np.sqrt(2.0 * float((centred * centred).sum())))
-
-
-def barnes_hoffman_lower(w) -> float:
-    """s(W) >= max over index pairs, including i = j, of
-    sqrt((w_ii - w_jj)^2 + 2 r_i + 2 r_j) with r_i the off-diagonal
-    squared row sum; diagonal pairs give sqrt(4 r_i)."""
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError("matrix must be square")
-    d = np.diag(w)
-    r = (w * w).sum(axis=1) - d * d
-    gap = d[:, None] - d[None, :]
-    vals = gap * gap + 2.0 * r[:, None] + 2.0 * r[None, :]
-    return float(np.sqrt(max(float(vals.max()), 0.0)))
-
-
-def jiang_zhan_lower(w) -> float:
-    """The sharpened pair bound: over i != j,
-    sqrt((w_ii - w_jj)^2 + 2 r_i + 2 r_j + 4 e_ij) where e_ij couples the
-    rows through f_ij = |r_i - r_j|; e_ij = 2 f_ij when the diagonals tie,
-    else min((w_ii - w_jj)^2 + 2 |(w_ii - w_jj)^2 - f_ij|, f_ij^2 / (w_ii - w_jj)^2).
-    """
-    w = np.asarray(w, dtype=np.float64)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValueError("matrix must be square")
-    n = w.shape[0]
-    if n < 2:
-        return 0.0
-    d = np.diag(w)
-    r = (w * w).sum(axis=1) - d * d
-    best = 0.0
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            gap2 = (d[i] - d[j]) ** 2
-            f = abs(r[i] - r[j])
-            if d[i] == d[j]:
-                e = 2.0 * f
-            else:
-                e = min(gap2 + 2.0 * abs(gap2 - f), f * f / gap2)
-            best = max(best, gap2 + 2.0 * r[i] + 2.0 * r[j] + 4.0 * e)
-    return float(np.sqrt(best))
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +169,10 @@ def liu_23_value(n: int, m: int, Delta: int) -> float:
 
 
 def lb_jz_degree_form(data: GraphData) -> float:
-    """s_Q >= sqrt((Delta-delta)^2 + 2Delta + 2delta + 4), the degree-only
-    form of the sharpened pair bound (reported as meg2, and as L1 under its
-    comparison-section name)."""
+    """s_Q >= sqrt((Delta-delta)^2 + 2Delta + 2delta + 4) (reported as
+    meg2, and as L1 under its comparison-section name).  It equals the
+    Jiang-Zhan sharpened pair bound of Q on non-regular graphs and exceeds
+    it on k-regular ones, 2 sqrt(k+1) against 2 sqrt(k)."""
     return meg2_value(data.profile.Delta, data.profile.delta)
 
 

@@ -18,7 +18,6 @@ all its edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -104,11 +103,6 @@ def independence_number(g: Graph, limit: Optional[int] = None) -> int:
     return _max_independent_set(g.n, _adjacency_masks(g))
 
 
-def vertex_cover_number(g: Graph, limit: Optional[int] = None) -> int:
-    """tau = n - alpha (complement of a maximum independent set)."""
-    return g.n - independence_number(g, limit=limit)
-
-
 def vertex_bipartiteness(g: Graph, limit: Optional[int] = None) -> int:
     """Minimum number of vertex deletions leaving a bipartite graph:
     n - alpha(G □ K2).  Bipartite inputs short-circuit to 0."""
@@ -191,25 +185,3 @@ def edge_bipartiteness(g: Graph, limit: Optional[int] = None) -> int:
     """Minimum number of edge deletions leaving a bipartite graph: m - maxcut."""
     return g.m - max_cut(g, limit=limit)
 
-
-@dataclass(frozen=True)
-class DensityConditionReport:
-    """Whether n(n-alpha)(n-alpha-1) <= 8m, with the derived quantities."""
-
-    holds: bool
-    necessary_holds: bool
-    k: int
-    alpha: int
-
-
-def check_density_condition(g: Graph, limit: Optional[int] = None) -> DensityConditionReport:
-    """Test n*k*(k-1) <= 8m for k = n - alpha, plus the necessary
-    condition 4(n-1) >= k(k-1) that follows from m <= n(n-1)/2."""
-    alpha = independence_number(g, limit=limit)
-    k = g.n - alpha
-    return DensityConditionReport(
-        holds=g.n * k * (k - 1) <= 8 * g.m,
-        necessary_holds=4 * (g.n - 1) >= k * (k - 1),
-        k=k,
-        alpha=alpha,
-    )

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .rng import SplitMix64, below_streams
+from .rng import below_streams
 
 
 class GraphError(ValueError):
@@ -243,20 +243,6 @@ def _prufer_decode(n: int, seq: list, degree: list, ends: list) -> None:
             leaf = ptr
     # vertex n - 1 is never the smallest of two leaves, so it stays to the end
     ends += (leaf, n - 1)
-
-
-def _prufer_tree_edges(n: int, rng: SplitMix64):
-    """Uniform labeled tree on n vertices from a Prufer sequence drawn
-    with ``rng.below(n)``, as (lo, hi) pairs in decode order."""
-    if n == 1:
-        return []
-    seq = [rng.below(n) for _ in range(n - 2)]
-    degree = [1] * n
-    for x in seq:
-        degree[x] += 1
-    ends = []
-    _prufer_decode(n, seq, degree, ends)
-    return list(zip(ends[::2], ends[1::2]))
 
 
 def _fisher_yates_picks(targets: np.ndarray, steps: np.ndarray, base=0) -> np.ndarray:

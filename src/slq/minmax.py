@@ -21,19 +21,6 @@ UNIT_TOL = 1e-8
 STATIONARY_TOL = 1e-9
 
 
-def unit_vector(v) -> np.ndarray:
-    """Normalize to unit length; rejects zero or non-finite input."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("expected a 1-d vector")
-    if not np.isfinite(v).all():
-        raise ValueError("vector entries must be finite")
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ValueError("cannot normalize the zero vector")
-    return v / norm
-
-
 def _as_matrix(w):
     """w as a float array, or w itself when it is a graph matrix operator
     (spectra.GraphMatrix), whose ``@`` is the O(n + m) product."""

@@ -186,6 +186,13 @@ def run_table(config: RunConfig):
     return text, (1 if hard else 0)
 
 
+def _csv(rows) -> str:
+    """The rows as CSV text, one line per row."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
 def _violation_cell(row: ExperimentRow) -> str:
     if not row.violations:
         return "-"
@@ -212,12 +219,7 @@ def render_table(rows, columns, config: RunConfig) -> str:
         return out
 
     if config.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(cells(row, CSV_FMT))
-        return buf.getvalue()
+        return _csv([header] + [cells(row, CSV_FMT) for row in rows])
     value_fmt = f"%.{config.precision}f"
     table = [header] + [cells(row, value_fmt) for row in rows]
     widths = [max(len(r[i]) for r in table) for i in range(len(header))]
@@ -248,17 +250,11 @@ def run_trace(spec: str, config: RunConfig) -> str:
         notes.append("start point perturbed: tangential gradient vanished at the all-ones vector")
     if trace.stagnated_at is not None:
         notes.append(f"stagnated at iteration {trace.stagnated_at}")
-    if config.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["iteration"] + [str(i) for i in iters])
-        writer.writerow(["f"] + [CSV_FMT % v for v in trace.values])
-        for note in notes:
-            buf.write(f"# {note}\n")
-        return buf.getvalue()
-    value_fmt = f"%.{config.precision}f"
+    value_fmt = CSV_FMT if config.fmt == "csv" else f"%.{config.precision}f"
     head = ["iteration"] + [str(i) for i in iters]
     vals = ["f"] + [value_fmt % v for v in trace.values]
+    if config.fmt == "csv":
+        return _csv([head, vals]) + "".join(f"# {note}\n" for note in notes)
     widths = [max(len(a), len(b)) for a, b in zip(head, vals)]
     lines = [
         "  ".join(c.rjust(w) for c, w in zip(head, widths)),
@@ -278,12 +274,8 @@ def run_spectrum(spec: str, config: RunConfig, matrix: str = "signless") -> str:
         raise GraphSpecError(f"unknown matrix kind {matrix!r}") from None
     values = eigenvalues(w.dense).values
     if config.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["index", "value"])
-        for i, v in enumerate(values, start=1):
-            writer.writerow([str(i), SPECTRUM_FMT % v])
-        return buf.getvalue()
+        rows = [(str(i), SPECTRUM_FMT % v) for i, v in enumerate(values, start=1)]
+        return _csv([("index", "value")] + rows)
     return "".join(SPECTRUM_FMT % v + "\n" for v in values)
 
 
@@ -311,12 +303,7 @@ def run_invariants(spec: str, config: RunConfig) -> str:
     pairs.append(("vertex_bipartiteness", oracle(vertex_bipartiteness)))
     pairs.append(("edge_bipartiteness", oracle(edge_bipartiteness)))
     if config.fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        for key, value in pairs:
-            writer.writerow([key, value])
-        return buf.getvalue()
+        return _csv([("key", "value")] + pairs)
     return "".join(f"{key} = {value}\n" for key, value in pairs)
 
 

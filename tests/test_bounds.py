@@ -16,7 +16,6 @@ from slq import (
     CATALOG,
     CatalogOptions,
     GraphData,
-    barnes_hoffman_lower,
     bound_from_vector,
     bounds,
     build_graph,
@@ -25,10 +24,9 @@ from slq import (
     generate_named,
     generate_random_connected,
     generate_regular_circulant,
-    jiang_zhan_lower,
+    is_regular,
     liu_23_value,
     meg2_value,
-    mirsky_upper,
     signless_laplacian_matrix,
     spread_report,
     vertex_bipartiteness,
@@ -36,9 +34,12 @@ from slq import (
 from slq.bounds import (
     CATALOG_BY_NAME,
     lb_cubic_moment,
+    lb_degree_two_case,
+    lb_jz_degree_form,
     lb_mu1_minus_vb,
     lb_regular_sqrt,
     ub_global_2n4,
+    ub_mirsky_q,
 )
 from slq.validation import small_connected_sample
 
@@ -60,6 +61,65 @@ connected_specs = st.integers(2, 12).flatmap(
 def spread_of(w) -> float:
     vals = np.linalg.eigvalsh(np.asarray(w, dtype=np.float64))
     return float(vals[-1] - vals[0])
+
+
+# ---------------------------------------------------------------------------
+# generic symmetric-matrix spread bounds, kept as the references that the
+# degree-only catalog entries specialize on Q
+
+
+def _square(w) -> np.ndarray:
+    w = np.asarray(w, dtype=np.float64)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValueError("matrix must be square")
+    return w
+
+
+def mirsky_upper(w) -> float:
+    """s(W) <= sqrt(2 ||W||_F^2 - (2/n) (tr W)^2); equality for n = 2.
+
+    The radicand is evaluated as 2 ||W - (tr W / n) I||_F^2, the same
+    quantity without the subtraction that cancels catastrophically when
+    the spread is small next to the entries."""
+    w = _square(w)
+    n = w.shape[0]
+    centred = w - float(np.trace(w)) / n * np.eye(n)
+    return float(np.sqrt(2.0 * float((centred * centred).sum())))
+
+
+def barnes_hoffman_lower(w) -> float:
+    """s(W) >= max over index pairs, including i = j, of
+    sqrt((w_ii - w_jj)^2 + 2 r_i + 2 r_j) with r_i the off-diagonal
+    squared row sum; diagonal pairs give sqrt(4 r_i)."""
+    w = _square(w)
+    d = np.diag(w)
+    r = (w * w).sum(axis=1) - d * d
+    gap = d[:, None] - d[None, :]
+    vals = gap * gap + 2.0 * r[:, None] + 2.0 * r[None, :]
+    return float(np.sqrt(max(float(vals.max()), 0.0)))
+
+
+def jiang_zhan_lower(w) -> float:
+    """The sharpened pair bound: over i != j,
+    sqrt((w_ii - w_jj)^2 + 2 r_i + 2 r_j + 4 e_ij) where e_ij couples the
+    rows through f_ij = |r_i - r_j|; e_ij = 2 f_ij when the diagonals tie,
+    else min((w_ii - w_jj)^2 + 2 |(w_ii - w_jj)^2 - f_ij|, f_ij^2 / (w_ii - w_jj)^2).
+    Broadcast over the pair matrix; the tied pairs' quotient is computed
+    and discarded."""
+    w = _square(w)
+    n = w.shape[0]
+    if n < 2:
+        return 0.0
+    d = np.diag(w)
+    r = (w * w).sum(axis=1) - d * d
+    gap2 = (d[:, None] - d[None, :]) ** 2
+    f = np.abs(r[:, None] - r[None, :])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        untied = np.minimum(gap2 + 2.0 * np.abs(gap2 - f), f * f / gap2)
+    e = np.where(d[:, None] == d[None, :], 2.0 * f, untied)
+    vals = gap2 + 2.0 * r[:, None] + 2.0 * r[None, :] + 4.0 * e
+    np.fill_diagonal(vals, -np.inf)
+    return float(np.sqrt(vals.max()))
 
 
 class TestGenericMatrixBounds:
@@ -114,6 +174,35 @@ class TestGenericMatrixBounds:
         for fn in (mirsky_upper, barnes_hoffman_lower, jiang_zhan_lower):
             with pytest.raises(ValueError, match="square"):
                 fn(np.ones((2, 3)))
+
+
+@pytest.fixture(scope="module")
+def corpus_q(corpus):
+    return [(label, g, signless_laplacian_matrix(g)) for label, g in corpus]
+
+
+class TestCatalogSpecializations:
+    """The degree-only catalog entries are the generic bounds on Q."""
+
+    def test_degree_two_case_is_barnes_hoffman(self, corpus_q):
+        for label, g, q in corpus_q:
+            assert lb_degree_two_case(GraphData(g)) == barnes_hoffman_lower(q), label
+
+    def test_mirsky_q_is_mirsky_within_two_ulps(self, corpus_q):
+        for label, g, q in corpus_q:
+            value = ub_mirsky_q(GraphData(g))
+            assert abs(value - mirsky_upper(q)) <= 2 * np.spacing(value), label
+
+    def test_meg2_is_sharpened_pair_bound_off_regular_graphs(self, corpus_q):
+        # on a k-regular graph the pair bound is 2 sqrt(k), meg2 2 sqrt(k+1)
+        strict = set()
+        for label, g, q in corpus_q:
+            meg2, sharpened = lb_jz_degree_form(GraphData(g)), jiang_zhan_lower(q)
+            assert sharpened <= meg2, label
+            if sharpened < meg2:
+                strict.add(label)
+        regular = {label for label, g, _ in corpus_q if is_regular(g)}
+        assert regular and strict == regular
 
 
 class TestDegreeOnlyClosedForms:

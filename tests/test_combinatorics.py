@@ -11,7 +11,6 @@ from hypothesis import given, strategies as st
 from slq import (
     OracleLimitError,
     build_graph,
-    check_density_condition,
     edge_bipartiteness,
     generate_named,
     generate_random_connected,
@@ -19,7 +18,6 @@ from slq import (
     is_bipartite,
     max_cut,
     vertex_bipartiteness,
-    vertex_cover_number,
 )
 from slq import combinatorics
 from slq.combinatorics import _adjacency_masks, _max_independent_set
@@ -214,7 +212,6 @@ class TestFrozenValues:
     def test_cycle5(self):
         c5 = generate_named("cycle", 5)
         assert independence_number(c5) == 2
-        assert vertex_cover_number(c5) == 3
         assert vertex_bipartiteness(c5) == 1
         assert max_cut(c5) == 4
         assert edge_bipartiteness(c5) == 1
@@ -222,7 +219,6 @@ class TestFrozenValues:
     def test_complete4(self):
         k4 = generate_named("complete", 4)
         assert independence_number(k4) == 1
-        assert vertex_cover_number(k4) == 3
         assert vertex_bipartiteness(k4) == 2
         assert max_cut(k4) == 4
         assert edge_bipartiteness(k4) == 2
@@ -459,28 +455,6 @@ class TestMaxCutOfBipartiteGraphs:
         assert len(calls) == 1
 
 
-class TestDensityCondition:
-    def test_complete4_holds(self):
-        rep = check_density_condition(generate_named("complete", 4))
-        assert rep.holds and rep.necessary_holds
-        assert (rep.alpha, rep.k) == (1, 3)
-
-    def test_path8_fails(self):
-        rep = check_density_condition(generate_named("path", 8))
-        assert not rep.holds
-        assert rep.necessary_holds
-        assert (rep.alpha, rep.k) == (4, 4)
-
-    @given(small_specs)
-    def test_consistency_with_definition(self, spec):
-        n, m, seed = spec
-        g = generate_random_connected(n, m, seed)
-        rep = check_density_condition(g)
-        k = g.n - naive_alpha(g)
-        assert rep.k == k
-        assert rep.holds == (g.n * k * (k - 1) <= 8 * g.m)
-
-
 class TestLimits:
     def test_limit_errors_carry_context(self):
         g = generate_random_connected(12, 20, seed=1)
@@ -505,11 +479,10 @@ class TestLimits:
         c5 = generate_named("cycle", 5)
         values = (
             independence_number(c5),
-            vertex_cover_number(c5),
             vertex_bipartiteness(c5),
             edge_bipartiteness(c5),
         )
-        assert values == (2, 3, 1, 1)
+        assert values == (2, 1, 1)
 
     def test_none_is_each_oracles_own_default(self):
         # odd cycles: not bipartite, so vb cannot short-circuit to 0
@@ -522,6 +495,6 @@ class TestLimits:
             edge_bipartiteness(generate_named("cycle", 25))
         c31 = generate_named("cycle", 31)
         with pytest.raises(OracleLimitError, match="independence number: n=31 exceeds oracle limit 30"):
-            vertex_cover_number(c31)
+            independence_number(c31)
         with pytest.raises(OracleLimitError, match="exceeds oracle limit 30"):
-            check_density_condition(c31)
+            independence_number(c31, limit=None)

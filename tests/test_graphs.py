@@ -26,7 +26,7 @@ from slq import (
 )
 from slq.combinatorics import independence_number, vertex_bipartiteness
 from slq import graphs as graphs_module
-from slq.graphs import _fisher_yates_picks, _prufer_tree_edges
+from slq.graphs import _fisher_yates_picks
 from slq.rng import SplitMix64, below_streams, splitmix64_stream
 from slq.validation import small_connected_sample, standard_corpus
 
@@ -267,10 +267,11 @@ class TestNamedFamilies:
 
 
 def reference_random_connected(n, m, seed):
-    """The list-based sampler, kept as the reference: every candidate pair
-    as a tuple in lexicographic order, shuffled in place."""
+    """The list-based sampler, kept as the reference: the heap decoder, and
+    every candidate pair as a tuple in lexicographic order, shuffled in
+    place."""
     rng = SplitMix64(seed)
-    tree = _prufer_tree_edges(n, rng)
+    tree = heap_prufer_tree_edges(n, rng)
     tree_set = set(tree)
     extra = m - (n - 1)
     if extra:
@@ -357,13 +358,6 @@ TABLE_LARGE_SPECS = (
 
 
 class TestGeneratorReference:
-    def test_decoder_matches_heap_decoder(self):
-        for n in range(1, 61):
-            for seed in range(4):
-                assert _prufer_tree_edges(n, SplitMix64(seed)) == heap_prufer_tree_edges(
-                    n, SplitMix64(seed)
-                ), (n, seed)
-
     def test_small_sizes_every_m_class(self):
         for n in range(2, 61):
             for m in m_classes(n):

@@ -28,7 +28,6 @@ from slq import (
     one_step_analytic_bound,
     signless_laplacian_matrix,
     spread_report,
-    unit_vector,
 )
 from slq import minmax
 from slq.minmax import inverse_degree_value
@@ -429,17 +428,3 @@ class TestOneStep:
         g = generate_random_connected(n, m, seed)
         value = one_step_analytic_bound(signless_laplacian_matrix(g), step=0.3)
         assert value <= spread_report(g).s_q + 1e-9
-
-
-class TestUnitVector:
-    def test_normalizes(self):
-        v = unit_vector([3.0, 4.0])
-        assert np.allclose(v, [0.6, 0.8])
-
-    def test_rejections(self):
-        with pytest.raises(ValueError, match="zero"):
-            unit_vector([0.0, 0.0])
-        with pytest.raises(ValueError, match="finite"):
-            unit_vector([1.0, np.nan])
-        with pytest.raises(ValueError, match="1-d"):
-            unit_vector(np.ones((2, 2)))

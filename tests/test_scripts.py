@@ -1,0 +1,43 @@
+"""Smoke tests for the programs in scripts/: each runs through its
+``__main__`` block in this process and exits 0."""
+
+import re
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+from slq.cli import ENV_ORACLE_LIMIT, main
+
+SCRIPTS = Path(__file__).parent.parent / "scripts"
+
+
+def run_script(name, args, capsys, monkeypatch):
+    """Exit status and stdout of scripts/<name> run with args."""
+    monkeypatch.setattr(sys, "argv", [name] + args)
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCRIPTS / name), run_name="__main__")
+    return done.value.code, capsys.readouterr().out
+
+
+def test_bound_table_prints_the_slq_table(capsys, monkeypatch):
+    monkeypatch.delenv(ENV_ORACLE_LIMIT, raising=False)
+    code, out = run_script("bound_table.py", ["--format", "csv"], capsys, monkeypatch)
+    assert code == 0
+    preamble, blank, table = out.partition("\n\n")
+    assert blank and preamble.startswith("degree-only columns from the printed parameters:")
+    args = ["table", "rand:n=40,m=634,seed=1", "rand:n=40,m=322,seed=1", "--seed", "1"]
+    assert main(args + ["--format", "csv"]) == 0
+    assert table == capsys.readouterr().out
+
+
+def test_search_quality_reports_ratios_in_the_unit_interval(capsys, monkeypatch):
+    code, out = run_script("search_quality.py", ["--graphs", "2"], capsys, monkeypatch)
+    assert code == 0
+    summaries = [line for line in out.splitlines() if " step: mean " in line]
+    assert [line.split()[0] for line in summaries] == ["constant", "decreasing"]
+    for line in summaries:
+        ratios = [float(x) for x in re.findall(r"(?:mean|min|max) (\S+)", line)]
+        assert len(ratios) == 3
+        assert all(0.0 < r <= 1.0 for r in ratios), line
