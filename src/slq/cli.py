@@ -27,6 +27,7 @@ from .report import (
     run_table,
     run_trace,
 )
+from .spectra import EigensolverError
 from .validation import validate_all
 
 ENV_ORACLE_LIMIT = "SLQ_ORACLE_LIMIT"
@@ -214,10 +215,7 @@ def main(argv=None) -> int:
         args.command_parser.error(f"unrecognized arguments: {' '.join(extra)}")
     try:
         return args.func(args)
-    except (GraphSpecError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GraphSpecError, GraphError, EigensolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

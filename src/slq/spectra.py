@@ -452,9 +452,23 @@ def _positive_definite(w: GraphMatrix, sign: float, shift: float, room: float) -
         P^-1, so a margin eps + c below ``room`` still leaves room for C.
       * (i, j) and (j, i) take the same subtractions in the same order, so
         F is symmetric bit for bit.
+      * The factorization runs by blocks of rows (``_cholesky_completes``),
+        and Rump's margin still applies.  His proof rests on |B - U^T U| <=
+        gamma_{r+1} |U^T| |U| for the computed factor U (Higham, op. cit.,
+        Lemma 8.4 and Thm 10.3), and Lemma 8.4 holds for any order and
+        grouping of the sums.  Entry u_ij, i <= j, is (b_ij - sum_{k<i}
+        u_ki u_kj) / u_ii, or its square root for j = i.  The blocked order
+        computes (b_ij - S_1) - S_2 - ... - S_G, each S_g a BLAS dot
+        product over some of the i - 1 rows above.  A product in S_g passes
+        through at most |S_g| roundings inside S_g and one in each of the
+        subtractions from the g-th on; every group holds at least one
+        product, so that is at most i, as in the recursive order.  No
+        Strassen-type product is used; LAPACK's own dpotrf is blocked the
+        same way.
     With S empty (a fill, or no vertex with d^2 < n) eps = 0, and this is
-    the test on the whole of P.  Only the r x r array of B, plus the two
-    that ``np.linalg.cholesky`` makes, is ever allocated.
+    the test on the whole of P.  Only the r x r array of B is ever
+    allocated at order r: the factor overwrites its upper triangle, and
+    the factorization's own arrays have at most _CHOLESKY_BLOCK rows.
     """
     g = w.graph
     gaps = sign * (w.diag + w.fill - shift)  # the diagonal of P, up to one rounding
@@ -493,10 +507,43 @@ def _positive_definite(w: GraphMatrix, sign: float, shift: float, room: float) -
         return True
     b = _schur_complement(w, sign, kept, position, runs, lengths, inverse)
     b[np.diag_indices(r)] = _down(diagonal - margin)
-    try:
-        np.linalg.cholesky(b)
-    except np.linalg.LinAlgError:
-        return False
+    return _cholesky_completes(b)
+
+
+# rows per block of ``_cholesky_completes`` (the measured best, see README)
+_CHOLESKY_BLOCK = 48
+
+
+def _cholesky_completes(b: np.ndarray) -> bool:
+    """Whether the floating-point Cholesky factorization b = U^T U of the
+    symmetric array b runs to completion, every pivot positive.
+
+    U overwrites the upper triangle of b, left-looking by blocks of
+    _CHOLESKY_BLOCK rows.  For each block, one product subtracts the rows
+    of U above it from its rows, ``np.linalg.cholesky`` factors its
+    diagonal square, and forward substitution finishes the rest of its
+    rows (the panel) one row at a time.  Every array allocated has at most
+    _CHOLESKY_BLOCK rows; at order r <= _CHOLESKY_BLOCK this is one
+    ``np.linalg.cholesky`` call.
+    """
+    r = len(b)
+    for i in range(0, r, _CHOLESKY_BLOCK):
+        j = min(i + _CHOLESKY_BLOCK, r)
+        if i:
+            b[i:j, i:] -= b[:i, i:j].T @ b[:i, i:]
+        try:
+            u = np.linalg.cholesky(b[i:j, i:j], upper=True)
+        except np.linalg.LinAlgError:
+            return False
+        b[i:j, i:j] = u
+        if j == r:
+            break
+        panel = b[i:j, j:]
+        # row k of the panel: (b_k - sum_{l<k} u_lk x_l) / u_kk
+        for k, (column, pivot) in enumerate(zip(u.T.copy(), u.diagonal().tolist())):
+            if k:
+                panel[k] -= column[:k] @ panel[:k]
+            panel[k] /= pivot
     return True
 
 
@@ -506,7 +553,8 @@ def _schur_complement(w: GraphMatrix, sign: float, kept, position, runs, lengths
     but for its diagonal, which the caller overwrites.  Each eliminated
     vertex, in ascending order, subtracts its rh_s (``inverse``, one per run
     entry) from every pair of entries of its run in ``runs``.  The index
-    arrays die on return, before the factorization allocates."""
+    arrays die on return, before the factorization, which overwrites this
+    array and allocates only arrays of at most _CHOLESKY_BLOCK rows."""
     r = int(position[-1]) + 1
     b = np.full((r, r), sign * w.fill) if w.fill else np.zeros((r, r))
     u, v = w.graph.edge_array.T

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from slq import generate_named, generate_random_connected, spectra, write_edge_list
@@ -414,6 +415,23 @@ class TestCliMain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: trace needs at least 2 vertices, {spec} has 1\n"
+
+    @pytest.mark.parametrize("args", [["table", "path:5"], ["spectrum", "cycle:6"]],
+                             ids=["table", "spectrum"])
+    def test_failed_residual_contract_exits_2(self, capsys, monkeypatch, args):
+        # eigenvalues 1 off their vectors: the residual check itself refuses
+        eigh = np.linalg.eigh
+
+        def off_by_one(w):
+            values, vectors = eigh(w)
+            return values + 1.0, vectors
+
+        monkeypatch.setattr(np.linalg, "eigh", off_by_one)
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: residual ")
+        assert captured.err.count("\n") == 1
 
     def test_cli_byte_determinism(self, capsys):
         args = ["table", "rand:n=10,m=20,seed=7", "--bounds", "all", "--format", "csv"]

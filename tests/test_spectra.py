@@ -677,7 +677,8 @@ class TestReducedCholesky:
 
     def test_schur_complement_is_symmetric_bit_for_bit(self, monkeypatch):
         factored = []
-        monkeypatch.setattr(np.linalg, "cholesky", lambda b: factored.append(b.copy()))
+        monkeypatch.setattr(spectra, "_cholesky_completes",
+                            lambda b: factored.append(b.copy()) or True)
         for spec in SOUNDNESS_SPECS:
             _, g = parse_graph_spec(spec)
             for kind, sign in (("signless", 1.0), ("adjacency", 1.0), ("laplacian", -1.0)):
@@ -721,3 +722,127 @@ class TestReducedCholesky:
         finally:
             tracemalloc.stop()
         assert peak < 32_000_000
+
+    @pytest.mark.parametrize("kind, ceiling", [("signless", 20_000_000),
+                                               ("laplacian", 26_000_000)])
+    def test_peak_memory_of_the_blocked_factorization(self, kind, ceiling):
+        # with np.linalg.cholesky on the whole r x r array the peaks were
+        # 28.3 MB (Q, r = 1253) and 39.1 MB (L, whose L + J bottom factors
+        # at r = n = 1500): the array, numpy's copy of it and the factor;
+        # factored in place by blocks they are 17.5 MB and 21.8 MB
+        _, g = parse_graph_spec(TABLE_LARGE[2])
+        tracemalloc.start()
+        try:
+            spectra.extreme_eigenvalues(GraphMatrix(g, kind))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ceiling
+
+
+BLOCK = spectra._CHOLESKY_BLOCK
+BLOCKED_ORDERS = (1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 7, 413, 1253)
+
+
+def numpy_cholesky_completes(b):
+    try:
+        np.linalg.cholesky(b)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def random_spd(r, seed):
+    """Symmetric bit for bit, eigenvalues in about [0.5, 4.5]."""
+    x = np.random.default_rng(seed).standard_normal((r, r)) / np.sqrt(r)
+    a = x @ x.T
+    return 0.5 * (a + a.T) + 0.5 * np.eye(r)
+
+
+def indefinite_at(r, pivot, seed):
+    """U^T D U for a well-conditioned unit upper triangular U and D = I but
+    for -1 at ``pivot`` (if not None): the Cholesky pivots are positive up
+    to ``pivot`` and about -1 there."""
+    x = np.random.default_rng(seed).standard_normal((r, r))
+    u = np.eye(r) + 0.1 * np.triu(x, 1) / np.sqrt(r)
+    d = np.ones(r)
+    if pivot is not None:
+        d[pivot] = -1.0
+    a = u.T @ (d[:, None] * u)
+    return 0.5 * (a + a.T)
+
+
+def schur_complement(spec, kind):
+    """B of ``_positive_definite`` for the bottom of a graph matrix at shift
+    -3 Delta, far below its spectrum."""
+    _, g = parse_graph_spec(spec)
+    captured = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectra, "_cholesky_completes", lambda b: captured.append(b.copy()) or True)
+        assert spectra._positive_definite(GraphMatrix(g, kind), 1.0, -3.0 * g.degrees.max(), 1.0)
+    (b,) = captured
+    return b
+
+
+# the orders of the Schur complements of Q, and of A, on two table rows
+COMPLEMENTS = {413: ((TABLE_LARGE[0], "signless"),),
+               1253: ((TABLE_LARGE[2], "signless"), (TABLE_LARGE[2], "adjacency"))}
+
+
+def spd_matrices(r):
+    """A random positive definite matrix of order r, and the Schur
+    complements of that order in COMPLEMENTS."""
+    matrices = [random_spd(r, seed=r)]
+    for spec, kind in COMPLEMENTS.get(r, ()):
+        matrices.append(schur_complement(spec, kind))
+        assert matrices[-1].shape == (r, r)
+    return matrices
+
+
+def blocked_factor(a, expected, label):
+    """The blocked factorization of a copy of a: it completes exactly when
+    np.linalg.cholesky does, as ``expected``.  On completion it returns U,
+    checked against the bound that Rump's proof rests on, |A - U^T U| <=
+    gamma_{r+1} |U^T| |U|, with room for the rounding of the check."""
+    b = a.copy()
+    found = spectra._cholesky_completes(b)
+    assert found == numpy_cholesky_completes(a) == expected, label
+    if not found:
+        return None
+    u = np.triu(b)
+    bound = 3.0 * spectra._gamma(len(a) + 1) * (np.abs(u).T @ np.abs(u))
+    assert (np.abs(a - u.T @ u) <= bound).all(), label
+    return u
+
+
+class TestBlockedCholesky:
+    """``_cholesky_completes`` against ``np.linalg.cholesky``."""
+
+    @pytest.mark.parametrize("r", BLOCKED_ORDERS)
+    def test_factor_matches_numpy(self, r):
+        for a in spd_matrices(r):
+            u = blocked_factor(a, True, r)
+            expected = np.linalg.cholesky(a, upper=True)
+            assert np.abs(u - expected).max() <= 1e-12 * np.abs(expected).max(), r
+
+    @pytest.mark.parametrize("r", BLOCKED_ORDERS)
+    def test_decides_as_numpy_just_inside_and_past_lambda_min(self, r):
+        # nearly singular: only the bound in ``blocked_factor`` checks U, since
+        # the distance to numpy's factor grows with the condition number
+        for a in spd_matrices(r):
+            lam = np.linalg.eigvalsh(a)[0]
+            t = 1e-7 * abs(lam)
+            for shift, expected in ((lam - t, True), (lam + t, False)):
+                blocked_factor(a - shift * np.eye(r), expected, (r, shift))
+
+    @pytest.mark.parametrize("r", (2 * BLOCK + 7, 413, 1253))
+    @pytest.mark.parametrize("where", ("first block", "middle block", "last block"))
+    def test_non_positive_pivot_in_each_block(self, r, where):
+        blocks = -(-r // BLOCK)
+        pivot = {"first block": BLOCK // 2,
+                 "middle block": blocks // 2 * BLOCK + BLOCK // 2,
+                 "last block": r - 1}[where]
+        assert 0 < blocks // 2 < blocks - 1  # the middle block has a panel
+        blocked_factor(indefinite_at(r, pivot, seed=r), False, (r, pivot))
+        # with every entry of D 1 the same U gives a matrix that completes
+        blocked_factor(indefinite_at(r, None, seed=r), True, r)
