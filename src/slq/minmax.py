@@ -68,7 +68,11 @@ def f_value_quadratic(w, x) -> float:
 
 def bound_from_vector(w, y) -> float:
     """Spread lower bound from any nonzero y: the f value of y/||y||,
-    written scale-free as 2 sqrt(Sy^2 St^2 - (Syt)^2)/Sy^2 with t = W y."""
+    written scale-free as 2 ||t - (y't/y'y) y|| / ||y|| with t = W y.
+
+    The residual form equals 2 sqrt(y'y t't - (y't)^2) / y'y, but that
+    radicand cancels to noise of order sqrt(eps) ||W|| when y is nearly an
+    eigenvector; the residual keeps its relative accuracy."""
     w = _as_matrix(w)
     y = np.asarray(y, dtype=np.float64)
     if y.ndim != 1 or y.shape[0] != w.shape[0]:
@@ -79,8 +83,7 @@ def bound_from_vector(w, y) -> float:
     if yy == 0.0:
         raise ValueError("y must be nonzero")
     t = w @ y
-    rad = yy * float(t @ t) - float(y @ t) ** 2
-    return 2.0 * np.sqrt(max(rad, 0.0)) / yy
+    return _f(y, t, float(y @ t) / yy) / math.sqrt(yy)
 
 
 def grad_f_squared(w, x) -> np.ndarray:

@@ -57,7 +57,8 @@ class GraphMatrix:
     The one statement of a graph matrix's entries: ``diag`` + fill on the
     diagonal, ``off`` + fill at each edge, fill elsewhere.  ``dense`` is
     the n x n array, built on first use; ``w @ x`` is always the O(n + m)
-    product over the edge array, with no n x n array.
+    product, with no n x n array: one ``np.add.reduceat`` sums x over each
+    vertex's run of neighbours in ``Graph.neighbor_index``.
     """
 
     def __init__(self, g: Graph, kind: str = "signless", fill: float = 0.0):
@@ -74,13 +75,24 @@ class GraphMatrix:
         return w + self.fill if self.fill else w
 
     @cached_property
-    def _tips(self):
-        """The other end of each entry of the flattened edge array."""
-        return self.graph.edge_array[:, ::-1].ravel()
+    def _segments(self):
+        """The tips of ``neighbor_index``, the start of each nonempty run in
+        them, and the vertices those runs belong to (``...`` for all).
+
+        ``np.add.reduceat`` sums an empty run to the next entry, not to 0,
+        and refuses a start at the end, so isolated vertices get no run."""
+        g = self.graph
+        tips, stops = g.neighbor_index
+        starts = stops - g.degrees
+        if g.degrees.all():
+            return tips, starts, ...
+        busy = np.flatnonzero(g.degrees)
+        return tips, starts[busy], busy
 
     def __matmul__(self, x) -> np.ndarray:
-        ends = self.graph.edge_array.ravel()
-        y = self.diag * x + self.off * np.bincount(ends, x[self._tips], self.graph.n)
+        tips, starts, busy = self._segments
+        y = self.diag * x
+        y[busy] += self.off * np.add.reduceat(x[tips], starts)
         return y + self.fill * x.sum() if self.fill else y
 
     @property
@@ -255,7 +267,7 @@ def _lanczos_extremes(w: GraphMatrix, steps: int):
     """Extremes by Lanczos with full reorthogonalization, or None when the
     run needs more than ``steps`` steps or a certificate fails.
 
-    Each matvec costs O(n + m), a ``bincount`` over the edge array.  The
+    Each matvec costs O(n + m), one segment sum per vertex.  The
     start vector is fixed, so the output is the same on every run.  For the
     Laplacian the Krylov space is kept orthogonal to the all-ones vector, so
     the bottom Ritz value approximates mu_{n-1}; its certificate is on
@@ -362,7 +374,9 @@ def _rayleigh(w: GraphMatrix, y):
     the exact quotient by at most 2 gamma_{2n + terms + 2} (|rho| + row_sum):
     gamma_terms from the matvec, gamma_n from each inner product and u from
     the division, doubled to cover the evaluation of the bound itself.  Both
-    follow from the entries of w.
+    follow from the entries of w.  The gamma bounds hold for any order in
+    which the products of a row are summed (Higham, Accuracy and Stability,
+    sec. 3.1), so they do not depend on how ``w @ y`` groups its sums.
     """
     n, degrees = w.graph.n, w.graph.degrees
     terms = _product_terms(w)
@@ -383,7 +397,8 @@ def _collatz_wielandt(w: GraphMatrix, y):
     W >= 0 and y > 0, lambda_1(W) <= max_i (W y)_i / y_i.  The computed
     product z = fl(W y) sums at most terms = ``_product_terms(w)`` products
     per row, so |z - W y| <= gamma_terms |W| |y| = gamma_terms W y,
-    and W y <= z / (1 - gamma_terms); each step is rounded up.
+    and W y <= z / (1 - gamma_terms); each step is rounded up.  That bound
+    holds for any order in which a row's products are summed.
     """
     if y.sum() < 0:
         y = -y

@@ -41,6 +41,7 @@ from slq.bounds import (
     ub_global_2n4,
     ub_mirsky_q,
 )
+from slq.report import parse_graph_spec
 from slq.validation import small_connected_sample
 
 UNSOUND_PRINTED_FORMS = {"meg2", "L1", "regular_sqrt"}
@@ -328,6 +329,23 @@ class TestVectorBoundDualRoutes:
                 assert abs(got - want) <= 1e-9 * scale, (name, got, want)
             # else: vec is numerically an eigenvector (regular graphs) and
             # both routes sit at cancellation noise around zero
+
+
+class TestZ2OnRegularGraphs:
+    """On a k-regular graph d^-3 is an eigenvector of Q, so Z2 is exactly 0;
+    the computed value must be rounding-sized, not cancellation noise of
+    order sqrt(eps) q_1."""
+
+    @pytest.mark.parametrize("spec", [
+        "complete:4", "complete:60", "complete:400", "complete:450",
+        "kbip:3,3", "kbip:200,200", "kbip:225,225",
+        "cycle:5", "cycle:400", "cycle:450",
+    ])
+    def test_z2_vanishes(self, spec):
+        _, g = parse_graph_spec(spec)
+        assert is_regular(g)
+        q1 = 2.0 * float(g.degrees.max())  # Q of a k-regular graph has q_1 = 2k
+        assert 0.0 <= bound("Z2", g) <= 1e-9 * q1
 
 
 class TestUpperBoundFixtures:

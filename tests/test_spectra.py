@@ -282,6 +282,15 @@ class TestSpreadReport:
 
 
 KINDS = (("adjacency", 0.0), ("laplacian", 0.0), ("signless", 0.0), ("laplacian", 1.0))
+EVERY_KIND = [(kind, fill) for kind in ("adjacency", "laplacian", "signless") for fill in (0.0, 1.0)]
+
+# the table_large graphs of the benchmark's default seed (n 500..1500)
+TABLE_LARGE = (
+    "rand:n=500,m=5000,seed=8631957831668394588",
+    "rand:n=1000,m=10000,seed=7692986104271406305",
+    "rand:n=1500,m=15000,seed=2073255812448292667",
+    "rand:n=800,m=32000,seed=2384282141814561249",
+)
 
 
 def reference_matrix(g, kind, fill=0.0):
@@ -314,6 +323,38 @@ class TestGraphMatrix:
                 w = GraphMatrix(g, kind, fill)
                 scale = max(1.0, float(np.abs(w.dense).sum(axis=1).max()))
                 assert np.abs(w @ x - w.dense @ x).max() <= 1e-12 * scale, (label, kind)
+
+    @staticmethod
+    def assert_product_matches_dense(g, seed, label):
+        """Integer entries sum exactly in any order, so the product equals
+        the dense one; random entries agree within 1e-12 of the row sum."""
+        rng = np.random.default_rng(seed)
+        exact = rng.integers(-50, 51, g.n).astype(np.float64)
+        x = rng.uniform(-0.5, 0.5, g.n)
+        for kind, fill in EVERY_KIND:
+            w = GraphMatrix(g, kind, fill)
+            assert np.array_equal(w @ exact, w.dense @ exact), (label, kind, fill)
+            scale = max(1.0, float(np.abs(w.dense).sum(axis=1).max()))
+            assert np.abs(w @ x - w.dense @ x).max() <= 1e-12 * scale, (label, kind, fill)
+
+    @pytest.mark.parametrize("label, n, edges", [
+        ("isolated first", 5, [(1, 2), (1, 3), (2, 4), (3, 4)]),
+        ("isolated in the middle", 6, [(0, 1), (0, 4), (1, 5), (4, 5)]),
+        ("isolated last", 5, [(0, 1), (0, 2), (1, 3), (2, 3)]),
+        ("isolated first, middle and last", 7, [(1, 2), (2, 4), (1, 5)]),
+        ("one edge among isolated vertices", 4, [(1, 2)]),
+        ("edgeless", 4, []),
+        ("single vertex", 1, []),
+    ])
+    def test_product_with_isolated_vertices_or_no_edges(self, label, n, edges):
+        g = build_graph(n, edges, allow_isolated=True)
+        assert not g.degrees.all()
+        self.assert_product_matches_dense(g, 6029, label)
+
+    @pytest.mark.parametrize("spec", TABLE_LARGE)
+    def test_product_on_table_large_graphs(self, spec):
+        _, g = parse_graph_spec(spec)
+        self.assert_product_matches_dense(g, 6030, spec)
 
     def test_operand_is_dense_up_to_the_limit(self):
         small = GraphMatrix(generate_named("path", spectra.DENSE_LIMIT))
@@ -442,15 +483,6 @@ class TestLanczosExtremes:
             assert (found.top, found.bottom) == (q[0], q[-1])
 
 
-# the table_large graphs of the benchmark's default seed (n 500..1500)
-TABLE_LARGE = (
-    "rand:n=500,m=5000,seed=8631957831668394588",
-    "rand:n=1000,m=10000,seed=7692986104271406305",
-    "rand:n=1500,m=15000,seed=2073255812448292667",
-    "rand:n=800,m=32000,seed=2384282141814561249",
-)
-
-
 def disjoint_union(*graphs):
     offsets = np.cumsum([0] + [g.n for g in graphs])
     edges = np.concatenate([g.edge_array + k for g, k in zip(graphs, offsets)])
@@ -539,19 +571,23 @@ class TestCollatzWielandt:
         a = generate_random_connected(250, 2500, seed=1)
         twins = disjoint_union(a, a)
         unequal = disjoint_union(a, generate_random_connected(260, 2600, seed=2))
-        # two equal components: the top Ritz vector of A changes sign
-        # between them; two unequal ones: the other component's entries are
-        # tiny and the bound is far off
-        for g, kind, bound_ok in ((twins, "adjacency", lambda b: b is None),
-                                  (unequal, "signless", lambda b: b is not None)):
+        for g in (twins, unequal):
             assert g.n > spectra.DENSE_LIMIT and not is_connected(g)
+        # two components with different tops: the other component's entries
+        # of the top Ritz vector are tiny, so the bound is far off or absent
+        for kind in ("adjacency", "signless"):
             factorizations.clear()
             bounds_returned.clear()
-            found = spectra.extreme_eigenvalues(GraphMatrix(g, kind))
+            found = spectra.extreme_eigenvalues(GraphMatrix(unequal, kind))
             (bound,) = bounds_returned
-            assert bound_ok(bound)
-            assert factorizations[0] == -1.0  # the top is factored
-            assert_encloses(found, g, kind)
+            assert bound is None or bound > found.top_enclosure[1], kind
+            assert factorizations[0] == -1.0, kind  # the top is factored
+            assert_encloses(found, unequal, kind)
+        # two equal components: the top of A is double, so whether its Ritz
+        # vector has one sign, and which certificate proves it, is decided
+        # by rounding
+        assert_encloses(spectra.extreme_eigenvalues(GraphMatrix(twins, "adjacency")),
+                        twins, "adjacency")
 
     def test_bipartite_cover_needs_no_factorization_or_square_buffer(self, factorizations):
         # the bipartite double cover of a random graph: q_n = 0 needs no
