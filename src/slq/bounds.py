@@ -241,15 +241,16 @@ def lb_ncon(data: GraphData) -> float:
 
 
 def lb_degree_vector(data: GraphData) -> float:
-    """Degree-vector minmax bound."""
+    """Degree-vector minmax bound: bound_from_vector on Q with y = d."""
     _require(data.graph.m >= 1, "needs at least one edge")
-    return minmax.degree_vector_value(data.graph.degrees, data.profile.d2)
+    return minmax.bound_from_vector(data.q.operand, data.graph.degrees)
 
 
 def lb_z1(data: GraphData) -> float:
-    """Inverse-degree minmax bound (reported as Z1)."""
+    """Inverse-degree minmax bound (reported as Z1): bound_from_vector on Q
+    with y_i = 1/d_i."""
     _require(data.profile.delta >= 1, "needs a graph without isolated vertices")
-    return minmax.inverse_degree_value(data.graph)
+    return minmax.bound_from_vector(data.q.operand, 1.0 / data.graph.degrees)
 
 
 def lb_z2(data: GraphData) -> float:

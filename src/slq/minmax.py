@@ -14,8 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph
-
 UNIT_TOL = 1e-8
 # tangential gradient below this (relative) scale counts as stationary
 STATIONARY_TOL = 1e-9
@@ -247,35 +245,6 @@ def gradient_search(w, config: Optional[SearchConfig] = None) -> SearchTrace:
 def ncon_value(n: int, m: int, m1: int) -> float:
     """All-ones vector bound in closed form: (4/n) sqrt(n M1 - 4 m^2)."""
     return 4.0 / n * np.sqrt(max(n * m1 - 4 * m * m, 0))
-
-
-def degree_vector_value(degrees: np.ndarray, d2: np.ndarray) -> float:
-    """Degree-vector bound via the explicit degree formula (y = d,
-    t = d^2 + d2 entrywise, no matrix product)."""
-    y = degrees.astype(np.float64)
-    t = y * y + d2.astype(np.float64)
-    yy = float(y @ y)
-    if yy == 0.0:
-        raise ValueError("degree vector bound needs at least one edge")
-    rad = yy * float(t @ t) - float(y @ t) ** 2
-    return 2.0 * np.sqrt(max(rad, 0.0)) / yy
-
-
-def inverse_degree_value(g: Graph) -> float:
-    """Inverse-degree bound via its displayed formula (y_i = 1/d_i,
-    t_i = 1 + sum of 1/d_j over neighbors j)."""
-    if not g.degrees.all():
-        raise ValueError("inverse-degree bound needs a graph without isolated vertices")
-    y = 1.0 / g.degrees
-    u, v = g.edge_array.T
-    t = np.ones(g.n)
-    # v endpoints first, then u: on canonically sorted edges this adds each
-    # vertex's terms in ascending neighbour order, as a loop over the edges does
-    np.add.at(t, v, y[u])
-    np.add.at(t, u, y[v])
-    yy = float(y @ y)
-    rad = yy * float(t @ t) - float(y @ t) ** 2
-    return 2.0 * np.sqrt(max(rad, 0.0)) / yy
 
 
 def one_step_analytic_bound(w, step: float) -> float:

@@ -71,7 +71,10 @@ def parse_graph_spec(spec: str, default_seed: Optional[int] = None):
                     raise GraphSpecError(
                         f"malformed rand spec {spec!r}: expected key=value parts"
                     )
-                fields[key.strip()] = int(value)
+                key = key.strip()
+                if key in fields:
+                    raise GraphSpecError(f"rand spec {spec!r} repeats {key}=")
+                fields[key] = int(value)
             extra = set(fields) - {"n", "m", "seed"}
             if extra or "n" not in fields or "m" not in fields:
                 raise GraphSpecError(

@@ -30,7 +30,6 @@ from slq import (
     spread_report,
 )
 from slq import minmax
-from slq.minmax import inverse_degree_value
 from slq.rng import SplitMix64
 from slq.validation import standard_corpus
 
@@ -138,40 +137,6 @@ class TestBoundFromVector:
             bound_from_vector(q, np.ones(4))
         with pytest.raises(ValueError, match="finite"):
             bound_from_vector(q, np.array([1.0, np.inf, 0.0]))
-
-    def test_inverse_degree_formula_matches_direct(self):
-        for seed in range(8):
-            g = generate_random_connected(8, 13, seed=seed)
-            q = signless_laplacian_matrix(g)
-            d = np.asarray(g.degrees, dtype=np.float64)
-            got = inverse_degree_value(g)
-            want = bound_from_vector(q, 1.0 / d)
-            scale = max(got, want)
-            if scale > 1e-5:
-                assert abs(got - want) <= 1e-10 * max(1.0, scale)
-
-    def test_inverse_degree_matches_edge_loop_exactly(self, corpus):
-        # the loop form adds each vertex's terms in ascending neighbour order
-        def loop_form(g):
-            y = 1.0 / np.asarray(g.degrees, dtype=np.float64)
-            t = np.ones(g.n)
-            for u, v in g.edges:
-                t[u] += y[v]
-                t[v] += y[u]
-            yy = float(y @ y)
-            rad = yy * float(t @ t) - float(y @ t) ** 2
-            return 2.0 * np.sqrt(max(rad, 0.0)) / yy
-
-        checked = 0
-        for label, g in corpus:
-            if min(g.degrees) > 0:
-                assert inverse_degree_value(g) == loop_form(g), label
-                checked += 1
-        assert checked == 499
-
-    def test_inverse_degree_rejects_isolated_vertices(self):
-        with pytest.raises(ValueError, match="isolated"):
-            inverse_degree_value(generate_named("kn1uk1", 5))
 
 
 class TestGradient:

@@ -69,6 +69,16 @@ class TestParseGraphSpec:
         with pytest.raises(GraphSpecError, match="no seed"):
             parse_graph_spec("rand:n=8,m=12")
 
+    @pytest.mark.parametrize("spec, key", [
+        ("rand:n=5,m=4,seed=1,seed=2", "seed"),
+        ("rand:n=5,n=6,m=5,seed=1", "n"),
+        ("rand:n=5,m=4, m=4,seed=1", "m"),
+    ])
+    def test_rand_repeated_key_refused(self, spec, key):
+        # a dict filled in order would keep the last value and build another graph
+        with pytest.raises(GraphSpecError, match=f"repeats {key}="):
+            parse_graph_spec(spec)
+
     def test_file_round_trip(self, tmp_path):
         g = generate_named("cycle", 5)
         path = tmp_path / "c5.edges"
@@ -293,6 +303,11 @@ class TestCliMain:
     def test_bad_spec_exits_2(self, capsys):
         assert main(["table", "wat"]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_repeated_rand_key_exits_2(self, capsys):
+        assert main(["table", "rand:n=5,m=4,seed=1,seed=2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "repeats seed=" in captured.err
 
     def test_unknown_bound_exits_2(self, capsys):
         assert main(["table", "path:4", "--bounds", "nope"]) == 2
