@@ -68,6 +68,11 @@ class GraphData:
         return GraphMatrix(self.graph, "signless")
 
     @cached_property
+    def q_degrees(self) -> np.ndarray:
+        """Q d, exact: every entry is an integer below 2^53."""
+        return self.q.operand @ self.graph.degrees.astype(np.float64)
+
+    @cached_property
     def q_extremes(self):
         return extreme_eigenvalues(self.q)
 
@@ -208,15 +213,14 @@ def lb_l2(data: GraphData) -> float:
 
 
 def lb_cubic_moment(data: GraphData) -> float:
-    """s_Q >= |(sum d^3 + sum d*d2)/M1 - Y| where Y minimizes, over edges
-    pq with deg(q) = Delta, (Delta + d_p)/2 - sqrt(((Delta - d_p)/2)^2 + 1)."""
+    """s_Q >= |d'Qd / d'd - Y| (Q's Rayleigh quotient at d), where Y minimizes, over
+    edges pq with deg(q) = Delta, (Delta + d_p)/2 - sqrt(((Delta - d_p)/2)^2 + 1)."""
     _require(data.graph.m >= 1, "needs at least one edge")
     p = data.profile
     deg = data.graph.degrees
-    ratio = float((deg**3).sum() + (deg * p.d2).sum()) / p.m1
-    u, v = data.graph.edge_array.T
-    ends, tips = np.concatenate((u, v)), np.concatenate((v, u))
-    d_p = deg[ends[deg[tips] == p.Delta]]
+    ratio = float(deg @ data.q_degrees) / p.m1
+    tips, _ = data.graph.neighbor_index
+    d_p = deg[tips[np.repeat(deg == p.Delta, deg)]]
     y = ((p.Delta + d_p) / 2.0 - np.sqrt(((p.Delta - d_p) / 2.0) ** 2 + 1.0)).min()
     return abs(ratio - y)
 
@@ -304,12 +308,11 @@ def ub_global_2n4(data: GraphData) -> float:
 
 
 def ub_liu_degree_avg(data: GraphData) -> float:
-    """s_Q <= max over vertices of d(v) + average degree of v's neighbors,
-    on connected graphs."""
+    """s_Q <= max_v (d_v + average degree over N(v)) = max_v (Qd)_v / d_v on
+    connected graphs: the Collatz-Wielandt bound at d, so at least q_1."""
     _require(data.connected, "needs a connected graph")
     _require(data.graph.n >= 2, "needs at least 2 vertices")
-    deg = data.graph.degrees.astype(np.float64)
-    return float((deg + data.profile.d2 / deg).max())
+    return float((data.q_degrees / data.graph.degrees).max())
 
 
 def ub_das_laplacian(data: GraphData) -> float:

@@ -31,6 +31,7 @@ from .spectra import EigensolverError
 from .validation import validate_all
 
 ENV_ORACLE_LIMIT = "SLQ_ORACLE_LIMIT"
+MAX_PRECISION = 100  # far past the 17 significant digits of a double
 
 
 def _add_flags(sub: argparse.ArgumentParser, *names: str):
@@ -53,7 +54,7 @@ def _add_flags(sub: argparse.ArgumentParser, *names: str):
         "--seed": dict(type=int, default=None, metavar="U64",
                        help="default seed for rand: specs without seed="),
         "--precision": dict(type=int, default=RunConfig.precision, metavar="D",
-                            help="decimals in text output (default %(default)s)"),
+                            help=f"text decimals, 0..{MAX_PRECISION} (default %(default)s)"),
     }
     for name in names:
         sub.add_argument(name, **specs[name])
@@ -134,6 +135,8 @@ def _run_config(args, bounds=DEFAULT_BOUNDS) -> RunConfig:
     precision = flags.get("precision", RunConfig.precision)
     if precision < 0:
         raise GraphSpecError("--precision must be at least 0")
+    if precision > MAX_PRECISION:
+        raise GraphSpecError(f"--precision must be at most {MAX_PRECISION}")
     search = SearchConfig()
     if "iters" in flags:
         try:

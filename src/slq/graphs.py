@@ -403,28 +403,22 @@ def generate_random_connected(n: int, m: int, seed: int) -> Graph:
 # invariants and traversal
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class DegreeProfile:
-    """The quantities the bounds derive from the degrees."""
+    """What the degree sequence alone determines: delta, Delta and M1."""
 
     delta: int
     Delta: int
     m1: int
-    d2: np.ndarray
 
 
 def degree_profile(g: Graph) -> DegreeProfile:
-    """Degree extremes, first Zagreb index, and d2 = A d."""
+    """Degree extremes and first Zagreb index."""
     deg = g.degrees
-    u, v = g.edge_array.T
-    d2 = np.zeros(g.n, dtype=np.int64)
-    np.add.at(d2, v, deg[u])
-    np.add.at(d2, u, deg[v])
     return DegreeProfile(
         delta=int(deg.min()),
         Delta=int(deg.max()),
         m1=int((deg * deg).sum()),
-        d2=d2,
     )
 
 

@@ -39,6 +39,7 @@ from slq.bounds import (
     lb_mu1_minus_vb,
     lb_regular_sqrt,
     ub_global_2n4,
+    ub_liu_degree_avg,
     ub_mirsky_q,
 )
 from slq.report import parse_graph_spec
@@ -277,7 +278,11 @@ class TestLowerBoundFixtures:
         def loop_reference(g):
             p = GraphData(g).profile
             deg = g.degrees
-            ratio = float((deg**3).sum() + (deg * p.d2).sum()) / p.m1
+            d2 = [0] * g.n  # A d
+            for u, v in g.edges:
+                d2[u] += int(deg[v])
+                d2[v] += int(deg[u])
+            ratio = float(sum(int(x) ** 3 + int(x) * y for x, y in zip(deg, d2))) / p.m1
             y = None
             for u, v in g.edges:
                 for a, b in ((u, v), (v, u)):
@@ -389,6 +394,21 @@ class TestUpperBoundFixtures:
     def test_liu_degree_avg_tight_on_path3_and_star(self):
         assert bound("liu_degree_avg", generate_named("path", 3)) == pytest.approx(3.0)
         assert bound("liu_degree_avg", generate_named("star", 3)) == pytest.approx(4.0)
+
+    def test_liu_degree_avg_is_at_least_q1(self, corpus):
+        # max_v (Qd)_v / d_v is the Collatz-Wielandt bound on q_1; the
+        # sandwich checks the entry only against s_Q
+        graphs = [g for _, g in corpus]
+        specs = ["rand:n=500,m=5000,seed=1", "rand:n=900,m=2700,seed=2",
+                 "complete:450", "cycle:500"]
+        graphs += [parse_graph_spec(spec)[1] for spec in specs]
+        checked = 0
+        for g in graphs:
+            data = GraphData(g)
+            if data.connected and g.n >= 2:
+                assert ub_liu_degree_avg(data) >= data.q_extremes.top_enclosure[0]
+                checked += 1
+        assert checked > 500
 
     def test_das_targets_laplacian_spread(self):
         k5 = generate_named("complete", 5)

@@ -1,5 +1,6 @@
 """Graph construction, named families, seeded generation, edge-list I/O."""
 
+import dataclasses
 import heapq
 import random
 import re
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from slq import (
     EdgeListError,
+    GraphData,
     GraphError,
     build_graph,
     degree_profile,
@@ -565,14 +567,27 @@ class TestSplitMix64:
         assert sorted(items) == list(range(20))
 
 
+def assert_q_degrees_exact(g):
+    """GraphData.q_degrees is the integer vector (D + A) d of a dense
+    integer product, exactly."""
+    q = np.diag(g.degrees)
+    for u, v in g.edges:
+        q[u, v] = q[v, u] = 1
+    got = GraphData(g).q_degrees
+    assert got.dtype == np.float64
+    assert np.array_equal(got, np.floor(got))
+    assert np.array_equal(got, q @ g.degrees)
+
+
 class TestDegreeProfile:
     def test_path4_profile(self):
         g = generate_named("path", 4)
         p = degree_profile(g)
         assert list(g.degrees) == [1, 2, 2, 1]
+        assert [f.name for f in dataclasses.fields(p)] == ["delta", "Delta", "m1"]
         assert (p.delta, p.Delta) == (1, 2)
         assert p.m1 == 10
-        assert list(p.d2) == [2, 3, 3, 2]
+        assert list(GraphData(g).q_degrees) == [3, 7, 7, 3]
 
     @given(connected_specs)
     def test_handshake_and_zagreb(self, spec):
@@ -581,11 +596,21 @@ class TestDegreeProfile:
         p = degree_profile(g)
         assert int(g.degrees.sum()) == 2 * m
         assert p.m1 == int((g.degrees**2).sum())
-        # d2 equals the adjacency matrix applied to the degree vector
-        a = np.zeros((n, n))
-        for u, v in g.edges:
-            a[u, v] = a[v, u] = 1
-        assert np.array_equal(p.d2, (a @ g.degrees).astype(np.int64))
+        assert_q_degrees_exact(g)
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            generate_named("path", 4),
+            # an isolated vertex, on the dense product and on the operator
+            generate_named("kn1uk1", 9),
+            generate_named("kn1uk1", 450),
+            generate_random_connected(*TABLE_LARGE_SPECS[0]),
+        ],
+        ids=["path:4", "kn1uk1:9", "kn1uk1:450", "table_large"],
+    )
+    def test_q_degrees_is_the_exact_product(self, g):
+        assert_q_degrees_exact(g)
 
 
 class TestBipartiteness:

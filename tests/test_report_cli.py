@@ -382,6 +382,7 @@ class TestCliMain:
             (["--step", "-1"], "step must be positive"),
             (["--step", "nan"], "step must be positive"),
             (["--precision", "-3"], "--precision must be at least 0"),
+            (["--precision", "99999999999"], "--precision must be at most 100"),
         ],
     )
     def test_bad_search_and_precision_flags_exit_2(self, capsys, flags, message):
@@ -390,6 +391,13 @@ class TestCliMain:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
         assert "Traceback" not in captured.err
+
+    def test_precision_ceiling_on_trace(self, capsys):
+        assert main(["trace", "path:3", "--precision", "101"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --precision must be at most 100\n"
+        assert main(["trace", "path:3", "--precision", "100"]) == 0
 
     @pytest.mark.parametrize(
         "args",

@@ -217,6 +217,8 @@ class TestEigenvalues:
             eigenvalues(np.ones((2, 3)))
         with pytest.raises(ValueError, match="symmetric"):
             eigenvalues(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        with pytest.raises(ValueError, match="symmetric"):
+            eigenvalues(np.array([[2.0, 1.0], [1.0 + 1e-15, 2.0]]))
         with pytest.raises(ValueError, match="finite"):
             eigenvalues(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
