@@ -284,8 +284,8 @@ def _lanczos_extremes(w: GraphMatrix, steps: int):
         Laplacian, the Cholesky test runs.  When the matrix is positive
         semidefinite (Q, L + J) and theta_n <= delta, the bottom's outer end
         is 0.  The Cholesky test eliminates a low-degree independent set S
-        in closed form and factors the rest, an r x r array, r = n - |S|,
-        allocated only when a factorization runs.  Rump's margin grows like
+        in closed form and factors the rest, of order r = n - |S|, whose
+        upper half is allocated only when it runs.  Rump's margin grows like
         r^2, so the reach of the test is set by r, not by n.
     """
     n = w.graph.n
@@ -327,6 +327,7 @@ def _lanczos_extremes(w: GraphMatrix, steps: int):
                 return None
         basis[k] = r / beta[-1]
     y_top, y_bottom = ritz[:, [-1, 0]].T @ basis[:k]
+    del basis
     delta = 0.5 * RESIDUAL_CONTRACT * scale
     # the top: (theta_1 + delta) I - W is positive definite (sign -1); the
     # bottom: W - (theta_n - delta) I is (sign +1), for L on L + J
@@ -463,25 +464,25 @@ def _positive_definite(w: GraphMatrix, sign: float, shift: float, room: float) -
         runs to completion, C >= Cl >= F - eps I >= B + c I > 0.
       * lambda_min(C) >= lambda_min(P), since C^-1 is a principal block of
         P^-1, so a margin eps + c below ``room`` still leaves room for C.
-      * (i, j) and (j, i) take the same subtractions in the same order, so
-        F is symmetric bit for bit.
-      * The factorization runs by blocks of rows (``_cholesky_completes``),
-        and Rump's margin still applies.  His proof rests on |B - U^T U| <=
-        gamma_{r+1} |U^T| |U| for the computed factor U (Higham, op. cit.,
-        Lemma 8.4 and Thm 10.3), and Lemma 8.4 holds for any order and
-        grouping of the sums.  Entry u_ij, i <= j, is (b_ij - sum_{k<i}
-        u_ki u_kj) / u_ii, or its square root for j = i.  The blocked order
-        computes (b_ij - S_1) - S_2 - ... - S_G, each S_g a BLAS dot
-        product over some of the i - 1 rows above.  A product in S_g passes
-        through at most |S_g| roundings inside S_g and one in each of the
-        subtractions from the g-th on; every group holds at least one
-        product, so that is at most i, as in the recursive order.  No
-        Strassen-type product is used; LAPACK's own dpotrf is blocked the
-        same way.
+      * The factorization runs right-looking by blocks of rows
+        (``_cholesky_completes``), and Rump's margin still applies.  His
+        proof rests on |B - U^T U| <= gamma_{r+1} |U^T| |U| for the computed
+        factor U (Higham, op. cit., Lemma 8.4 and Thm 10.3), and Lemma 8.4
+        holds for any order and grouping of the sums.  Entry u_ij, i <= j,
+        is (b_ij - sum_{k<i} u_ki u_kj) / u_ii, or its square root for j =
+        i.  The blocked order computes (b_ij - S_1) - S_2 - ... - S_G: one
+        BLAS dot product over the rows of each earlier block, subtracted
+        when that block is done, and last the one over the rows above i in
+        its own block, if any.  A product in S_g passes through at most
+        |S_g| roundings inside S_g and one in each of the subtractions from
+        the g-th on; every group holds at least one product, so that is at
+        most i, as in the recursive order.  No Strassen-type product is
+        used; LAPACK's own dpotrf is blocked the same way.
     With S empty (a fill, or no vertex with d^2 < n) eps = 0, and this is
-    the test on the whole of P.  Only the r x r array of B is ever
-    allocated at order r: the factor overwrites its upper triangle, and
-    the factorization's own arrays have at most _CHOLESKY_BLOCK rows.
+    the test on the whole of P.  B is stored as its upper trapezoid in
+    blocks of h_p = min(b, r - bp) rows, b = _CHOLESKY_BLOCK: sum_p h_p
+    (r - bp) entries, about r^2 / 2, and no other entry is read.  The
+    factor overwrites it; the factorization's own arrays have at most b rows.
     """
     g = w.graph
     gaps = sign * (w.diag + w.fill - shift)  # the diagonal of P, up to one rounding
@@ -518,71 +519,70 @@ def _positive_definite(w: GraphMatrix, sign: float, shift: float, room: float) -
         return False
     if not r:  # an edgeless graph: P is its positive diagonal
         return True
-    b = _schur_complement(w, sign, kept, position, runs, lengths, inverse)
-    b[np.diag_indices(r)] = _down(diagonal - margin)
-    return _cholesky_completes(b)
+    blocks = _schur_complement(w, sign, kept, position, runs, lengths, inverse)
+    for i, block in zip(range(0, r, _CHOLESKY_BLOCK), blocks):
+        np.fill_diagonal(block, _down(diagonal[i:i + len(block)] - margin))
+    return _cholesky_completes(blocks)
 
 
 # rows per block of ``_cholesky_completes`` (the measured best, see README)
 _CHOLESKY_BLOCK = 48
 
 
-def _cholesky_completes(b: np.ndarray) -> bool:
-    """Whether the floating-point Cholesky factorization b = U^T U of the
-    symmetric array b runs to completion, every pivot positive.
+def _cholesky_completes(blocks) -> bool:
+    """Whether the floating-point Cholesky factorization B = U^T U of a
+    symmetric matrix B runs to completion, every pivot positive.
 
-    U overwrites the upper triangle of b, left-looking by blocks of
-    _CHOLESKY_BLOCK rows.  For each block, one product subtracts the rows
-    of U above it from its rows, ``np.linalg.cholesky`` factors its
-    diagonal square, and forward substitution finishes the rest of its
-    rows (the panel) one row at a time.  Every array allocated has at most
-    _CHOLESKY_BLOCK rows; at order r <= _CHOLESKY_BLOCK this is one
-    ``np.linalg.cholesky`` call.
+    ``blocks`` holds the upper trapezoid of B in blocks of _CHOLESKY_BLOCK
+    rows, each from its own diagonal on; U overwrites it, right-looking.
+    ``np.linalg.cholesky`` factors a block's diagonal square from its upper
+    triangle, forward substitution finishes its other columns (the panel)
+    row by row, and one product per later block subtracts the panel's share
+    from it.  Every array allocated has at most _CHOLESKY_BLOCK rows.
     """
-    r = len(b)
-    for i in range(0, r, _CHOLESKY_BLOCK):
-        j = min(i + _CHOLESKY_BLOCK, r)
-        if i:
-            b[i:j, i:] -= b[:i, i:j].T @ b[:i, i:]
+    for p, block in enumerate(blocks):
+        square, panel = np.split(block, [len(block)], axis=1)
         try:
-            u = np.linalg.cholesky(b[i:j, i:j], upper=True)
+            square[:] = u = np.linalg.cholesky(square, upper=True)
         except np.linalg.LinAlgError:
             return False
-        b[i:j, i:j] = u
-        if j == r:
-            break
-        panel = b[i:j, j:]
         # row k of the panel: (b_k - sum_{l<k} u_lk x_l) / u_kk
         for k, (column, pivot) in enumerate(zip(u.T.copy(), u.diagonal().tolist())):
             if k:
                 panel[k] -= column[:k] @ panel[:k]
             panel[k] /= pivot
+        for later in blocks[p + 1:]:
+            later -= panel[:, :len(later)].T @ panel
+            panel = panel[:, len(later):]
     return True
 
 
 def _schur_complement(w: GraphMatrix, sign: float, kept, position, runs, lengths,
-                      inverse) -> np.ndarray:
-    """F of ``_positive_definite`` in a new r x r array, r = kept.sum(),
-    but for its diagonal, which the caller overwrites.  Each eliminated
-    vertex, in ascending order, subtracts its rh_s (``inverse``, one per run
-    entry) from every pair of entries of its run in ``runs``.  The index
-    arrays die on return, before the factorization, which overwrites this
-    array and allocates only arrays of at most _CHOLESKY_BLOCK rows."""
+                      inverse) -> list:
+    """F of ``_positive_definite`` but for its diagonal, which the caller
+    overwrites: its upper trapezoid in the blocks of ``_cholesky_completes``,
+    views of one new array.  Each eliminated vertex, in ascending order,
+    subtracts its rh_s (``inverse``, one per run entry) from the entry of
+    each pair of distinct entries of its run in ``runs``."""
     r = int(position[-1]) + 1
-    b = np.full((r, r), sign * w.fill) if w.fill else np.zeros((r, r))
+    # row i is stored from its block's first column on: entry (i, j) is at head[i] + j
+    skip = np.arange(r) // _CHOLESKY_BLOCK * _CHOLESKY_BLOCK
+    head = np.cumsum(r - skip) - r
+    flat = np.full(r * r - skip.sum(), sign * w.fill) if w.fill else np.zeros(r * r - skip.sum())
+    # u < v, and position keeps the order: each edge is in the upper triangle
     u, v = w.graph.edge_array.T
-    if len(runs):
-        inner = kept[u] & kept[v]
-        u, v = position[u[inner]], position[v[inner]]
-    b[u, v] = b[v, u] = sign * (w.off + w.fill)
-    # row by row: each entry of a run of length d is paired with the d
-    # entries of its run
-    per = np.repeat(lengths, lengths)
-    first = np.repeat(lengths.cumsum() - lengths, lengths)
+    inner = kept[u] & kept[v]
+    flat[head[position[u[inner]]] + position[v[inner]]] = sign * (w.off + w.fill)
+    # pair each run entry with every later entry of its run; runs ascend
+    entries = np.arange(len(runs))
+    later = np.repeat(lengths.cumsum(), lengths) - entries - 1
+    first = np.repeat(entries, later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(later.cumsum() - later, later)
     rows = position[runs]
-    cols = rows[np.arange(per.sum()) + np.repeat(first - (per.cumsum() - per), per)]
-    np.subtract.at(b.reshape(-1), np.repeat(rows * r, per) + cols, np.repeat(inverse, per))
-    return b
+    np.subtract.at(flat, head[rows[first]] + rows[second], inverse[first])
+    starts = range(0, r, _CHOLESKY_BLOCK)
+    pieces = np.split(flat, head[starts[1:]] + starts[1:])
+    return [piece.reshape(-1, r - i) for i, piece in zip(starts, pieces)]
 
 
 @dataclass(frozen=True, eq=False)

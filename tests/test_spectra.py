@@ -639,6 +639,40 @@ def unreduced_positive_definite(w, sign, shift, room):
     return True
 
 
+def dense_schur_complement(w, sign, kept, position, runs, lengths, inverse):
+    """Reference: F of ``_positive_definite`` as a full r x r array, both
+    triangles, but for its diagonal.  Row by row, each entry of a run of
+    length d is paired with the d entries of its run."""
+    r = int(position[-1]) + 1
+    b = np.full((r, r), sign * w.fill) if w.fill else np.zeros((r, r))
+    u, v = w.graph.edge_array.T
+    inner = kept[u] & kept[v]
+    u, v = position[u[inner]], position[v[inner]]
+    b[u, v] = b[v, u] = sign * (w.off + w.fill)
+    per = np.repeat(lengths, lengths)
+    first = np.repeat(lengths.cumsum() - lengths, lengths)
+    rows = position[runs]
+    cols = rows[np.arange(per.sum()) + np.repeat(first - (per.cumsum() - per), per)]
+    np.subtract.at(b.reshape(-1), np.repeat(rows * r, per) + cols, np.repeat(inverse, per))
+    return b
+
+
+def table_row_peak(kind):
+    """The tracemalloc peak of ``extreme_eigenvalues`` on the largest table
+    row.  The upper trapezoid of the complement in block rows, 6.5 MB at
+    r = 1253 (A, Q) and 9.3 MB at r = n = 1500 (the L + J bottom), sets
+    peaks of 8.4 MB (Q), 8.5 MB (A) and 10.4 MB (L); the whole r x r array,
+    factored in place, peaked at 17.3, 17.5 and 21.6 MB, and the unreduced
+    test at 38.8 MB for Q."""
+    _, g = parse_graph_spec(TABLE_LARGE[2])
+    tracemalloc.start()
+    try:
+        spectra.extreme_eigenvalues(GraphMatrix(g, kind))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def reference_elimination_set(g):
     """A maximal independent set of the vertices v with d_v^2 < n, taken
     greedily in ascending degree order, ties by vertex, in plain Python."""
@@ -713,21 +747,46 @@ class TestReducedCholesky:
         # the n = 800 row has minimum degree above sqrt(800): nothing pays
         assert sizes[3] == 0 and min(sizes[:3]) > 0.15 * 500
 
-    def test_schur_complement_is_symmetric_bit_for_bit(self, monkeypatch):
-        factored = []
-        monkeypatch.setattr(spectra, "_cholesky_completes",
-                            lambda b: factored.append(b.copy()) or True)
+    def test_schur_blocks_are_the_upper_triangle_bit_for_bit(self, monkeypatch):
+        calls = []
+        original = spectra._schur_complement
+
+        def spy(*args):
+            blocks = original(*args)
+            calls.append((dense_schur_complement(*args), [b.copy() for b in blocks]))
+            return blocks
+
+        monkeypatch.setattr(spectra, "_schur_complement", spy)
+        monkeypatch.setattr(spectra, "_cholesky_completes", lambda blocks: True)
+        # the bottom of Q, A and L + J, the top of L
+        cases = (("signless", 0.0, 1.0), ("adjacency", 0.0, 1.0), ("laplacian", 0.0, -1.0),
+                 ("laplacian", 1.0, 1.0))
         for spec in SOUNDNESS_SPECS:
             _, g = parse_graph_spec(spec)
-            for kind, sign in (("signless", 1.0), ("adjacency", 1.0), ("laplacian", -1.0)):
-                w = GraphMatrix(g, kind)
-                shift = -sign * float(g.degrees.max()) * 3.0
-                factored.clear()
-                assert spectra._positive_definite(w, sign, shift, 1.0)
-                (b,) = factored
+            for kind, fill, sign in cases:
+                w = GraphMatrix(g, kind, fill)
+                calls.clear()
+                assert spectra._positive_definite(w, sign, -sign * 3.0 * g.degrees.max(), 1.0)
+                ((dense, blocks),) = calls
                 r = g.n - len(spectra._elimination_set(w))
-                assert b.shape == (r, r)
-                assert b.tobytes() == b.T.copy().tobytes(), (spec, kind)
+                assert dense.shape == (r, r)
+                starts = range(0, r, BLOCK)
+                assert [b.shape for b in blocks] == [(min(BLOCK, r - i), r - i) for i in starts]
+                # the diagonal is the caller's, so the strict upper triangle
+                for i, b in zip(starts, blocks):
+                    upper = np.triu(np.ones(b.shape, dtype=bool), 1)
+                    assert b[upper].tobytes() == dense[i:i + BLOCK, i:][upper].tobytes(), (
+                        spec, kind, fill, i)
+
+    def test_isolated_vertex_ahead_of_the_complement(self):
+        # the isolated vertex 0 is the only vertex eliminated, so every kept
+        # vertex moves down one place in the complement; its L top needs a
+        # factorization (this ended in an IndexError)
+        g = build_graph(450, np.column_stack(np.triu_indices(449, 1)) + 1, allow_isolated=True)
+        assert spectra._elimination_set(GraphMatrix(g, "laplacian")).tolist() == [0]
+        for kind in MATRICES:
+            assert_encloses(spectra.extreme_eigenvalues(GraphMatrix(g, kind)), g, kind)
+        assert_reduced_test_is_sound(g, "isolated vertex 0")
 
     @pytest.mark.parametrize("m, seed", [(6250, 3), (12500, 1)])
     def test_adjacency_of_bipartite_covers_needs_no_dense_solve(self, m, seed, factorizations,
@@ -749,33 +808,14 @@ class TestReducedCholesky:
         assert top_hi - top_lo < 1e-9 * found.top and bottom_hi - bottom_lo < 1e-9 * found.top
 
     def test_peak_memory_of_the_largest_table_row(self):
-        # the unreduced test peaked at 38,782,515 bytes here: its n x n
-        # buffer and the n x n factor, n = 1500; the complement has order
-        # r = 1253, so both arrays shrink to r x r
-        _, g = parse_graph_spec(TABLE_LARGE[2])
-        tracemalloc.start()
-        try:
-            spectra.extreme_eigenvalues(GraphMatrix(g))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32_000_000
+        assert table_row_peak("signless") < 10_900_000
 
-    @pytest.mark.parametrize("kind, ceiling", [("signless", 20_000_000),
-                                               ("laplacian", 26_000_000)])
+    @pytest.mark.parametrize("kind, ceiling", [("adjacency", 11_050_000),
+                                               ("laplacian", 12_850_000)],
+                             ids=["adjacency", "laplacian"])
     def test_peak_memory_of_the_blocked_factorization(self, kind, ceiling):
-        # with np.linalg.cholesky on the whole r x r array the peaks were
-        # 28.3 MB (Q, r = 1253) and 39.1 MB (L, whose L + J bottom factors
-        # at r = n = 1500): the array, numpy's copy of it and the factor;
-        # factored in place by blocks they are 17.5 MB and 21.8 MB
-        _, g = parse_graph_spec(TABLE_LARGE[2])
-        tracemalloc.start()
-        try:
-            spectra.extreme_eigenvalues(GraphMatrix(g, kind))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < ceiling
+        # Q is the test above
+        assert table_row_peak(kind) < ceiling
 
 
 BLOCK = spectra._CHOLESKY_BLOCK
@@ -810,16 +850,36 @@ def indefinite_at(r, pivot, seed):
     return 0.5 * (a + a.T)
 
 
+def pack_blocks(a):
+    """The upper trapezoid of the square array a in the block rows of
+    ``_cholesky_completes``: rows i .. i + BLOCK - 1 from column i on, NaN
+    below the diagonal, where the factorization must read nothing."""
+    blocks = [a[i:i + BLOCK, i:].copy() for i in range(0, len(a), BLOCK)]
+    for b in blocks:
+        b[np.tril_indices(len(b), -1)] = np.nan
+    return blocks
+
+
+def unpack_blocks(blocks):
+    """The upper triangle held by ``blocks``, as an r x r array."""
+    r = blocks[0].shape[1]
+    u = np.zeros((r, r))
+    for i, b in zip(range(0, r, BLOCK), blocks):
+        u[i:i + len(b), i:] = b
+    return np.triu(u)
+
+
 def schur_complement(spec, kind):
     """B of ``_positive_definite`` for the bottom of a graph matrix at shift
-    -3 Delta, far below its spectrum."""
+    -3 Delta, far below its spectrum, unpacked to a full symmetric array."""
     _, g = parse_graph_spec(spec)
     captured = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(spectra, "_cholesky_completes", lambda b: captured.append(b.copy()) or True)
+        patch.setattr(spectra, "_cholesky_completes",
+                      lambda blocks: captured.append(unpack_blocks(blocks)) or True)
         assert spectra._positive_definite(GraphMatrix(g, kind), 1.0, -3.0 * g.degrees.max(), 1.0)
-    (b,) = captured
-    return b
+    (u,) = captured
+    return u + np.triu(u, 1).T
 
 
 # the orders of the Schur complements of Q, and of A, on two table rows
@@ -838,16 +898,17 @@ def spd_matrices(r):
 
 
 def blocked_factor(a, expected, label):
-    """The blocked factorization of a copy of a: it completes exactly when
-    np.linalg.cholesky does, as ``expected``.  On completion it returns U,
-    checked against the bound that Rump's proof rests on, |A - U^T U| <=
-    gamma_{r+1} |U^T| |U|, with room for the rounding of the check."""
-    b = a.copy()
-    found = spectra._cholesky_completes(b)
+    """The blocked factorization of the block rows of a: it completes
+    exactly when np.linalg.cholesky does, as ``expected``.  On completion it
+    returns U, checked against the bound that Rump's proof rests on,
+    |A - U^T U| <= gamma_{r+1} |U^T| |U|, with room for the rounding of the
+    check."""
+    blocks = pack_blocks(a)
+    found = spectra._cholesky_completes(blocks)
     assert found == numpy_cholesky_completes(a) == expected, label
     if not found:
         return None
-    u = np.triu(b)
+    u = unpack_blocks(blocks)
     bound = 3.0 * spectra._gamma(len(a) + 1) * (np.abs(u).T @ np.abs(u))
     assert (np.abs(a - u.T @ u) <= bound).all(), label
     return u
