@@ -14,8 +14,6 @@ import io
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .bounds import CATALOG_BY_NAME, CatalogOptions, GraphData, evaluate_catalog
 from .combinatorics import (
     OracleLimitError,
@@ -308,25 +306,3 @@ def run_invariants(spec: str, config: RunConfig) -> str:
     if config.fmt == "csv":
         return _csv([("key", "value")] + pairs)
     return "".join(f"{key} = {value}\n" for key, value in pairs)
-
-
-def parse_table_csv(text: str):
-    """Round-trip helper: parse an emitted CSV table back into value dicts."""
-    reader = csv.reader(io.StringIO(text))
-    rows = list(reader)
-    header = rows[0]
-    out = []
-    for raw in rows[1:]:
-        rec = dict(zip(header, raw))
-        parsed = {}
-        for key, value in rec.items():
-            if key in ("graph", "violations", "liu_2.2"):
-                parsed[key] = value
-            elif key == "seed":
-                parsed[key] = None if value == "" else int(value)
-            elif key in ("n", "m", "Delta", "delta"):
-                parsed[key] = int(value)
-            else:
-                parsed[key] = np.nan if value == "n/a" else float(value)
-        out.append(parsed)
-    return out

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .graphs import Graph, GraphError, build_graph
+from .graphs import Graph, GraphError, _stable_order, build_graph
 from .rng import splitmix64_stream
 
 
@@ -425,7 +425,7 @@ def _elimination_set(w: GraphMatrix) -> np.ndarray:
     tips, stops = g.neighbor_index
     blocked = np.zeros(g.n, dtype=bool)
     chosen = []
-    for v in candidates[np.argsort(degrees[candidates], kind="stable")].tolist():
+    for v in candidates[_stable_order(degrees[candidates])].tolist():
         if not blocked[v]:
             chosen.append(v)
             blocked[tips[stops[v] - degrees[v]:stops[v]]] = True

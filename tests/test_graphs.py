@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from slq import (
     EdgeListError,
+    Graph,
     GraphData,
     GraphError,
     build_graph,
@@ -28,7 +29,7 @@ from slq import (
 )
 from slq.combinatorics import independence_number, vertex_bipartiteness
 from slq import graphs as graphs_module
-from slq.graphs import _fisher_yates_picks
+from slq.graphs import _PACKED_SORT_MIN, _fisher_yates_picks, _stable_order
 from slq.rng import SplitMix64, below_streams, splitmix64_stream
 from slq.validation import small_connected_sample, standard_corpus
 
@@ -454,6 +455,15 @@ class TestGeneratorBatch:
         assert picks.tolist() == dict_loop_picks(a.tolist()) + dict_loop_picks(b.tolist())
 
 
+def assert_connected_by_search(g):
+    """A breadth-first search on a fresh copy of g, which holds no primed
+    component count, finds one component, and g's own count agrees."""
+    fresh = Graph(g.n, g.edge_array, g.degrees)
+    assert "components" not in vars(fresh)
+    assert fresh.components == g.components == 1
+    assert is_connected(g)
+
+
 class TestRandomConnected:
     @given(connected_specs)
     def test_connected_with_exact_edge_count(self, spec):
@@ -461,7 +471,12 @@ class TestRandomConnected:
         g = generate_random_connected(n, m, seed)
         assert g.n == n
         assert g.m == m
-        assert is_connected(g)
+        assert_connected_by_search(g)
+
+    def test_connectivity_is_primed_without_search(self):
+        graphs = generate_random_connected_many([(9, 8, 7), (40, 100, 1), (500, 5000, 2)])
+        assert all(vars(g)["components"] == 1 for g in graphs)
+        assert all("_two_coloring" not in vars(g) for g in graphs)
 
     @given(connected_specs)
     def test_deterministic_in_seed(self, spec):
@@ -474,7 +489,7 @@ class TestRandomConnected:
     def test_tree_case(self):
         g = generate_random_connected(9, 8, seed=7)
         assert g.m == g.n - 1
-        assert is_connected(g)
+        assert_connected_by_search(g)
 
     def test_edge_count_bounds(self):
         with pytest.raises(GraphError):
@@ -632,6 +647,78 @@ class TestBipartiteness:
     def test_regular_detector(self):
         assert is_regular(generate_named("cycle", 5))
         assert not is_regular(generate_named("path", 3))
+
+
+class TestStableOrder:
+    def assert_stable(self, keys):
+        keys = np.asarray(keys, dtype=np.int64)
+        got = _stable_order(keys)
+        assert got.dtype == np.intp
+        assert np.array_equal(got, keys.argsort(kind="stable"))
+
+    @pytest.mark.parametrize("length", [0, 1, 2, _PACKED_SORT_MIN - 1, _PACKED_SORT_MIN,
+                                        _PACKED_SORT_MIN + 1, 1024, 1025, 20000])
+    @pytest.mark.parametrize("top", [1, 3, 40, 2**31, 2**40])
+    def test_matches_stable_argsort(self, length, top):
+        # few distinct keys give long runs of ties
+        self.assert_stable(np.random.default_rng(length + top).integers(0, top, length))
+
+    def test_sorted_reversed_and_constant_keys(self):
+        length = 3 * _PACKED_SORT_MIN
+        for keys in (np.arange(length), np.arange(length)[::-1], np.full(length, 7),
+                     np.zeros(length)):
+            self.assert_stable(keys)
+
+    @pytest.mark.parametrize("length", [2, _PACKED_SORT_MIN, 1024, 1025, 5000])
+    def test_keys_near_the_top_of_the_packed_range(self, length):
+        # a packed key takes bit_length(length - 1) position bits: with the
+        # first top the keys still fit in 63 bits, the others take the argsort
+        shift = (length - 1).bit_length()
+        rng = np.random.default_rng(length)
+        for top in (2 ** (63 - shift) - 1, 2 ** (63 - shift), 2**62 - 1, 2**62, 2**63 - 1):
+            keys = top - rng.integers(0, 3, length)
+            keys[rng.integers(0, length)] = top
+            self.assert_stable(keys)
+
+
+# the four graphs of the benchmark's table_large at its default seed, two
+# larger ones, and the corpus: every edge array and neighbour index is the
+# one the plain stable argsorts build
+IDENTITY_SPECS = [
+    (500, 5000, 8631957831668394588),
+    (1000, 10000, 7692986104271406305),
+    (1500, 15000, 2073255812448292667),
+    (800, 32000, 2384282141814561249),
+    (3000, 30000, 1),
+    (1500, 1000000, 2),
+]
+
+
+def argsort_neighbor_index(g):
+    ends = g.edge_array.ravel()
+    return ends[np.argsort(ends, kind="stable") ^ 1], np.cumsum(g.degrees)
+
+
+def assert_same_bytes(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestPackedSortIdentity:
+    @pytest.mark.parametrize("spec", IDENTITY_SPECS, ids=lambda s: "n=%d,m=%d" % s[:2])
+    def test_generator_and_index_match_argsort_construction(self, spec, monkeypatch):
+        g = generate_random_connected(*spec)
+        with monkeypatch.context() as patch:
+            patch.setattr(graphs_module, "_stable_order", lambda keys: keys.argsort(kind="stable"))
+            reference = generate_random_connected(*spec)
+        assert_same_bytes(g.edge_array, reference.edge_array)
+        assert_same_bytes(g.degrees, reference.degrees)
+        for got, want in zip(g.neighbor_index, argsort_neighbor_index(g)):
+            assert_same_bytes(got, want)
+
+    def test_corpus_index_matches_argsort_construction(self, corpus):
+        for _, g in corpus:
+            for got, want in zip(g.neighbor_index, argsort_neighbor_index(g)):
+                assert_same_bytes(got, want)
 
 
 class TestNeighborIndex:

@@ -1,11 +1,13 @@
 """Graph-spec parsing, table rendering, determinism, and the CLI surface."""
 
+import csv
+import io
 import math
 
 import numpy as np
 import pytest
 
-from slq import generate_named, generate_random_connected, spectra, write_edge_list
+from slq import Graph, generate_named, generate_random_connected, spectra, write_edge_list
 from slq.bounds import CatalogOptions, GraphData, evaluate_catalog
 from slq.combinatorics import VB_LIMIT
 from slq.cli import main
@@ -18,13 +20,35 @@ from slq.report import (
     RunConfig,
     build_row,
     parse_graph_spec,
-    parse_table_csv,
     resolve_bounds,
     run_invariants,
     run_spectrum,
     run_table,
     run_trace,
 )
+
+
+def parse_table_csv(text: str):
+    """Parse an emitted CSV table back into value dicts."""
+    reader = csv.reader(io.StringIO(text))
+    rows = list(reader)
+    header = rows[0]
+    out = []
+    for raw in rows[1:]:
+        rec = dict(zip(header, raw))
+        parsed = {}
+        for key, value in rec.items():
+            if key in ("graph", "violations", "liu_2.2"):
+                parsed[key] = value
+            elif key == "seed":
+                parsed[key] = None if value == "" else int(value)
+            elif key in ("n", "m", "Delta", "delta"):
+                parsed[key] = int(value)
+            else:
+                parsed[key] = np.nan if value == "n/a" else float(value)
+        out.append(parsed)
+    return out
+
 
 ASSEMBLERS = ("adjacency_matrix", "laplacian_matrix", "signless_laplacian_matrix",
               "incidence_matrix", "oriented_incidence_matrix")
@@ -516,6 +540,21 @@ class TestLazySpectra:
         assert [o.evaluated for o in outcomes] == [False, False]
         assert all("oracle limit" in o.reason for o in outcomes)
         assert eig_calls == []
+
+
+class TestGeneratorConnectivity:
+    def test_default_row_of_a_large_random_graph_runs_no_search(self, monkeypatch):
+        # the connectivity hypotheses read the count the generator primed
+        calls = []
+        search = Graph.__dict__["_two_coloring"].func
+        monkeypatch.setattr(Graph, "_two_coloring",
+                            property(lambda g: calls.append(g) or search(g)))
+        spec = "rand:n=500,m=2000,seed=3"
+        assert parse_graph_spec(spec)[1].n > spectra.DENSE_LIMIT
+        text, code = run_table(RunConfig(sources=(spec,), fmt="csv"))
+        assert code == 0 and calls == []
+        row = parse_table_csv(text)[0]
+        assert row["liu_delta"] == row["Delta"] + 1 - row["delta"]
 
 
 class TestOneSignlessLaplacian:

@@ -12,7 +12,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from test_graphs import float_root_random_connected
+from test_graphs import assert_connected_by_search, float_root_random_connected
 
 from slq import (
     CatalogOptions,
@@ -22,7 +22,6 @@ from slq import (
     evaluate_catalog,
     generate_named,
     is_bipartite,
-    is_connected,
 )
 from slq.report import build_row, parse_graph_spec, resolve_bounds
 from slq.rng import SplitMix64
@@ -86,7 +85,7 @@ class TestCorpora:
         assert [label for label, _ in a] == [label for label, _ in b]
         for label, g in a:
             assert 5 <= g.n <= 60
-            assert is_connected(g)
+            assert_connected_by_search(g)
             if g.n <= 20:
                 assert g.m <= g.n + 5
 
@@ -95,12 +94,12 @@ class TestCorpora:
         assert len(sample) == 60
         for label, g in sample:
             assert 3 <= g.n <= 8
-            assert is_connected(g)
+            assert_connected_by_search(g)
 
     def test_random_connected_bipartite(self):
         for seed in range(6):
             g = random_connected_bipartite(9, seed)
-            assert is_connected(g)
+            assert_connected_by_search(g)
             assert is_bipartite(g)[0]
         assert random_connected_bipartite(9, 2) == random_connected_bipartite(9, 2)
 
