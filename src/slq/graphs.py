@@ -134,6 +134,8 @@ def build_graph(n: int, edges, allow_isolated: bool = False) -> Graph:
     n = int(n)
     if n < 1:
         raise GraphError("vertex count must be at least 1")
+    if n >= 2**63:  # vertex ids are int64
+        raise GraphError(f"vertex count {n} must be below 2^63")
     if not isinstance(edges, np.ndarray):
         edges = list(edges)
     try:

@@ -31,7 +31,7 @@ from .graphs import (
 )
 from .minmax import gradient_search
 from .spectra import GraphMatrix, eigenvalues
-from .validation import classify, printed_form_excluded
+from .validation import cell_violations, printed_form_excluded
 
 # paper-style column order; any further selected bounds follow sorted by name
 PAPER_COLUMNS = ("liu_2.3", "meg1", "meg2", "Ncon", "Z1", "Z2", "eta")
@@ -122,7 +122,7 @@ class ExperimentRow:
     seed: Optional[int]
     s_q: float
     outcomes: tuple  # CatalogOutcome per selected bound, in column order
-    violations: tuple  # (entry name, excluded flag) pairs
+    violations: tuple  # CellViolation per flagged column, in column order
 
 
 def resolve_bounds(selection) -> tuple:
@@ -150,11 +150,6 @@ def build_row(label: str, g: Graph, columns, options: CatalogOptions,
     data = GraphData(g, options)
     by_name = {o.name: o for o in evaluate_catalog(data, columns)}
     outcomes = tuple(by_name[c] for c in columns)
-    violations = []
-    for outcome in outcomes:
-        verdict = classify(outcome, data, printed_form_excluded)
-        if verdict is not None:
-            violations.append((outcome.name, verdict[1]))
     return ExperimentRow(
         label=label,
         n=g.n,
@@ -164,7 +159,7 @@ def build_row(label: str, g: Graph, columns, options: CatalogOptions,
         seed=seed,
         s_q=data.s_q,
         outcomes=outcomes,
-        violations=tuple(violations),
+        violations=tuple(cell_violations(label, data, outcomes, printed_form_excluded)),
     )
 
 
@@ -183,7 +178,7 @@ def run_table(config: RunConfig):
             seed = int(label.rsplit("seed=", 1)[1])
         rows.append(build_row(label, g, columns, config.catalog, seed=seed))
     text = render_table(rows, columns, config)
-    hard = any(not excluded for row in rows for (_, excluded) in row.violations)
+    hard = any(not v.excluded for row in rows for v in row.violations)
     return text, (1 if hard else 0)
 
 
@@ -197,9 +192,7 @@ def _csv(rows) -> str:
 def _violation_cell(row: ExperimentRow) -> str:
     if not row.violations:
         return "-"
-    return ";".join(
-        f"{name}[logged]" if excluded else name for name, excluded in row.violations
-    )
+    return ";".join(f"{v.entry}[logged]" if v.excluded else v.entry for v in row.violations)
 
 
 def render_table(rows, columns, config: RunConfig) -> str:

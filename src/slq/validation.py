@@ -69,33 +69,54 @@ def printed_form_excluded(name: str, data: GraphData) -> bool:
     return False
 
 
-def classify(outcome, data: GraphData, exclude):
-    """The one violation rule: None when the outcome was not evaluated or
-    sits on the right side of the spread it targets (a lower bound at most
-    spread + SANDWICH_TOL, an upper bound at least spread - SANDWICH_TOL);
-    otherwise the pair (reference spread, excluded), where excluded is
-    exclude(name, data) and False when exclude is None.
+@dataclass(frozen=True)
+class CellViolation:
+    """One bound value on one graph on the wrong side of the exact spread;
+    excluded cells are logged rather than failed."""
+
+    graph_label: str
+    entry: str
+    direction: str
+    target: str
+    value: float
+    reference: float
+    excluded: bool
+
+    def __str__(self):
+        rel = "<" if self.direction == "upper" else ">"
+        return (
+            f"{self.graph_label}: {self.entry} = {self.value:.6f} "
+            f"{rel} {self.target} = {self.reference:.6f}"
+        )
+
+
+def cell_violations(label: str, data: GraphData, outcomes, exclude) -> list:
+    """The one violation rule: a CellViolation, in outcome order, for each
+    evaluated outcome on the wrong side of the spread it targets (a lower
+    bound above spread + SANDWICH_TOL, an upper bound below spread -
+    SANDWICH_TOL), with excluded = exclude(name, data), False when exclude
+    is None.
 
     The reference is read from data only here, so a spectrum is solved only
     for a cell that needs it.  An upper bound on s_L at or above the upper
     end of q_1's enclosure passes without the Laplacian spectrum: |L| = Q
     entrywise, so mu_1 <= q_1, and s_L = mu_1 - mu_{n-1} <= mu_1.  That
     clears no violated cell; any other s_L cell is decided against s_L."""
-    if not outcome.evaluated:
-        return None
-    if outcome.target == "s_Q":
-        ref = data.s_q
-    elif outcome.direction == "upper" and outcome.value >= data.q_extremes.top_enclosure[1]:
-        return None
-    else:
-        ref = data.s_l
-    if outcome.direction == "lower":
-        bad = outcome.value > ref + SANDWICH_TOL
-    else:
-        bad = outcome.value < ref - SANDWICH_TOL
-    if not bad:
-        return None
-    return ref, exclude is not None and exclude(outcome.name, data)
+    out = []
+    for o in outcomes:
+        if not o.evaluated:
+            continue
+        if o.target == "s_Q":
+            ref = data.s_q
+        elif o.direction == "upper" and o.value >= data.q_extremes.top_enclosure[1]:
+            continue
+        else:
+            ref = data.s_l
+        lower = o.direction == "lower"
+        if (o.value > ref + SANDWICH_TOL) if lower else (o.value < ref - SANDWICH_TOL):
+            excluded = exclude is not None and exclude(o.name, data)
+            out.append(CellViolation(label, o.name, o.direction, o.target, o.value, ref, excluded))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -206,25 +227,6 @@ def random_unit_vector(n: int, rng: SplitMix64) -> np.ndarray:
 # report types
 
 
-@dataclass(frozen=True)
-class CellViolation:
-    """One bound value on one graph on the wrong side of the exact spread."""
-
-    graph_label: str
-    entry: str
-    direction: str
-    target: str
-    value: float
-    reference: float
-
-    def __str__(self):
-        rel = "<" if self.direction == "upper" else ">"
-        return (
-            f"{self.graph_label}: {self.entry} = {self.value:.6f} "
-            f"{rel} {self.target} = {self.reference:.6f}"
-        )
-
-
 @dataclass
 class ValidationReport:
     """Aggregated results of a validation run."""
@@ -260,30 +262,18 @@ def check_sandwich(
 ) -> ValidationReport:
     """Every applicable lower bound <= spread + SANDWICH_TOL and every upper
     bound >= spread - SANDWICH_TOL, per target spread, as decided by
-    classify.  Violations from excluded cells go to report.logged;
+    cell_violations.  Violations from excluded cells go to report.logged;
     everything else to report.failures."""
     rep = report if report is not None else ValidationReport()
     for label, g in corpus:
         data = GraphData(g, options)
+        outcomes = evaluate_catalog(data)
+        evaluated = sum(o.evaluated for o in outcomes)
         rep.graphs_checked += 1
-        for outcome in evaluate_catalog(data):
-            if not outcome.evaluated:
-                rep.inapplicable_cells += 1
-                continue
-            rep.cells_checked += 1
-            verdict = classify(outcome, data, exclude)
-            if verdict is None:
-                continue
-            ref, excluded = verdict
-            violation = CellViolation(
-                graph_label=label,
-                entry=outcome.name,
-                direction=outcome.direction,
-                target=outcome.target,
-                value=outcome.value,
-                reference=ref,
-            )
-            (rep.logged if excluded else rep.failures).append(violation)
+        rep.cells_checked += evaluated
+        rep.inapplicable_cells += len(outcomes) - evaluated
+        for v in cell_violations(label, data, outcomes, exclude):
+            (rep.logged if v.excluded else rep.failures).append(v)
     return rep
 
 

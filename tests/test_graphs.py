@@ -204,6 +204,9 @@ class TestBuildGraph:
     def test_rejects_bad_vertex_count(self):
         with pytest.raises(GraphError):
             build_graph(0, [])
+        # vertex ids are int64; refused before any array is built
+        with pytest.raises(GraphError, match=r"below 2\^63"):
+            build_graph(2**63, [])
 
     def test_equality_and_hash(self):
         a = build_graph(3, [(0, 1), (1, 2)])
@@ -768,6 +771,10 @@ class TestEdgeListFormat:
     def test_rejects_empty(self):
         with pytest.raises(EdgeListError, match="empty"):
             read_edge_list("# nothing\n")
+
+    def test_rejects_vertex_count_beyond_int64(self):
+        with pytest.raises(GraphError, match=r"below 2\^63"):
+            read_edge_list("99999999999999999999\n")
 
     @given(connected_specs)
     def test_round_trip_random(self, spec):

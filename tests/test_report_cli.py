@@ -341,6 +341,15 @@ class TestCliMain:
         assert main(["spectrum", "file:/does/not/exist.edges"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["table", "invariants", "spectrum", "trace"])
+    def test_vertex_count_beyond_int64_exits_2(self, capsys, tmp_path, command):
+        path = tmp_path / "huge.edges"
+        path.write_text("99999999999999999999\n")
+        assert main([command, f"file:{path}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "below 2^63" in captured.err
+
     def test_rand_needs_seed(self, capsys):
         assert main(["table", "rand:n=6,m=8"]) == 2
         assert "seed" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Corpus construction, the sandwich classification, and the validation suite.
+"""Corpus construction, the violation rule, and the validation suite.
 
 The expected violation set is frozen cell by cell: the unsound printed
 forms overshoot exactly on the K_2 and K_3 isomorphs (all three suspect
@@ -30,8 +30,8 @@ from slq.validation import (
     SANDWICH_TOL,
     CellViolation,
     ValidationReport,
+    cell_violations,
     check_equality_fixtures,
-    classify,
     check_gradients,
     check_identities,
     check_sandwich,
@@ -256,6 +256,7 @@ class TestSandwich:
             ("complete:3", "meg2"), ("complete:3", "L1"),
             ("complete:3", "regular_sqrt"),
         }
+        assert all(v.excluded for v in rep.logged)
 
     def test_oracle_limit_cells_count_inapplicable(self):
         # odd cycle: the bipartite fast path cannot answer vb, so the size
@@ -268,7 +269,8 @@ class TestSandwich:
 
 def exact_rule(outcome, data, exclude):
     """The violation rule with every cell decided against the spread it
-    targets: the reference that classify must agree with."""
+    targets: None, or the (reference, excluded) pair that cell_violations
+    must record."""
     if not outcome.evaluated:
         return None
     ref = data.s_q if outcome.target == "s_Q" else data.s_l
@@ -279,6 +281,15 @@ def exact_rule(outcome, data, exclude):
     if not bad:
         return None
     return ref, exclude is not None and exclude(outcome.name, data)
+
+
+def exact_records(label, data, outcomes, exclude):
+    """exact_rule's verdicts as the records cell_violations must return."""
+    return [
+        CellViolation(label, o.name, o.direction, o.target, o.value, *want)
+        for o in outcomes
+        if (want := exact_rule(o, data, exclude)) is not None
+    ]
 
 
 # every golden table with --bounds all: (specs, oracle limit)
@@ -298,8 +309,8 @@ DISCONNECTED = (
 
 
 class TestSlCellsOnTheTopOfQ:
-    """classify passes an upper bound on s_L at or above the top of q_1's
-    enclosure without the Laplacian spectrum."""
+    """cell_violations passes an upper bound on s_L at or above the top of
+    q_1's enclosure without the Laplacian spectrum."""
 
     def test_mu1_is_below_the_top_of_q(self, corpus):
         checked = set()
@@ -313,9 +324,9 @@ class TestSlCellsOnTheTopOfQ:
     def test_verdicts_equal_the_exact_rule_on_the_corpus(self, corpus):
         for label, g in tuple(corpus) + DISCONNECTED:
             data = GraphData(g)
-            for outcome in evaluate_catalog(data):
-                want = exact_rule(outcome, data, printed_form_excluded)
-                assert classify(outcome, data, printed_form_excluded) == want, (label, outcome.name)
+            outcomes = evaluate_catalog(data)
+            got = cell_violations(label, data, outcomes, printed_form_excluded)
+            assert got == exact_records(label, data, outcomes, printed_form_excluded), label
 
     @pytest.mark.parametrize("specs, limit", GOLDEN_ALL_TABLES,
                              ids=["table_all", "table_oracle_limit", "table_lanczos"])
@@ -326,14 +337,12 @@ class TestSlCellsOnTheTopOfQ:
             label, g = parse_graph_spec(spec)
             row = build_row(label, g, columns, options)
             data = GraphData(g, options)
-            flagged = []
-            for outcome in evaluate_catalog(data):
-                got = classify(outcome, data, printed_form_excluded)
-                want = exact_rule(outcome, data, printed_form_excluded)
-                assert got == want, (label, outcome.name)
-                if want is not None:
-                    flagged.append((outcome.name, want[1]))
-            assert sorted(row.violations) == sorted(flagged), label
+            by_name = {o.name: o for o in evaluate_catalog(data)}
+            outcomes = [by_name[c] for c in columns]
+            got = cell_violations(label, data, outcomes, printed_form_excluded)
+            assert got == exact_records(label, data, outcomes, printed_form_excluded), label
+            # the table's violations column reads the records validate reads
+            assert row.violations == tuple(got), label
 
     def test_cleared_cells_solve_no_laplacian(self, corpus):
         cleared = needed = 0
@@ -342,28 +351,32 @@ class TestSlCellsOnTheTopOfQ:
             (outcome,) = evaluate_catalog(data, ("das_laplacian",))
             if not outcome.evaluated:
                 continue
-            verdict = classify(outcome, data, None)
+            got = cell_violations(label, data, [outcome], None)
             if outcome.value >= data.q_extremes.top_enclosure[1]:
-                assert verdict is None and "mu_extremes" not in data.__dict__, label
+                assert got == [] and "mu_extremes" not in data.__dict__, label
                 cleared += 1
             else:
-                assert verdict == exact_rule(outcome, data, None), label
                 assert "mu_extremes" in data.__dict__, label
+                assert got == exact_records(label, data, [outcome], None), label
                 needed += 1
         assert (cleared, needed) == (441, 51)
 
     def test_a_violation_below_the_laplacian_spread_is_still_flagged(self, corpus):
+        # the shortcut clears upper bounds only: the catalog has no lower
+        # bound on s_L, and one above the top of q_1 overshoots s_L <= q_1
         for label, g in tuple(corpus[::10]) + DISCONNECTED:
             data = GraphData(g)
-            for value, flagged in ((data.s_l - 2 * SANDWICH_TOL, True),
-                                   (data.s_l - 0.5 * SANDWICH_TOL, False),
-                                   (data.q_extremes.top_enclosure[1], False)):
-                outcome = CatalogOutcome("das_laplacian", "upper", "s_L", value)
-                verdict = classify(outcome, data, printed_form_excluded)
-                assert verdict == exact_rule(outcome, data, printed_form_excluded), label
-                assert (verdict is not None) == flagged, label
+            top = data.q_extremes.top_enclosure[1]
+            for direction, value, flagged in (("upper", data.s_l - 2 * SANDWICH_TOL, True),
+                                              ("upper", data.s_l - 0.5 * SANDWICH_TOL, False),
+                                              ("upper", top, False),
+                                              ("lower", top + 2 * SANDWICH_TOL, True)):
+                outcome = CatalogOutcome("das_laplacian", direction, "s_L", value)
+                got = cell_violations(label, data, [outcome], printed_form_excluded)
+                assert got == exact_records(label, data, [outcome], printed_form_excluded), label
+                assert bool(got) == flagged, label
                 if flagged:
-                    assert verdict == (data.s_l, False)
+                    assert (got[0].reference, got[0].excluded) == (data.s_l, False)
 
 
 class TestOtherChecks:
@@ -408,6 +421,6 @@ class TestOtherChecks:
         rep = ValidationReport()
         assert rep.ok
         rep.failures.append(
-            CellViolation("g", "e", "lower", "s_Q", 2.0, 1.0)
+            CellViolation("g", "e", "lower", "s_Q", 2.0, 1.0, excluded=False)
         )
         assert not rep.ok
