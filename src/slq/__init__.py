@@ -46,11 +46,9 @@ from .minmax import (
     SearchTrace,
     bound_from_vector,
     f_value,
-    f_value_quadratic,
     grad_f_squared,
     gradient_search,
     numerical_grad_f_squared,
-    one_step_analytic_bound,
 )
 from .rng import SplitMix64
 from .spectra import (

@@ -11,7 +11,6 @@ nonzero exactly when a non-excluded bound violation or an error occurred.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .bounds import CatalogOptions
@@ -30,7 +29,6 @@ from .report import (
 from .spectra import EigensolverError
 from .validation import validate_all
 
-ENV_ORACLE_LIMIT = "SLQ_ORACLE_LIMIT"
 MAX_PRECISION = 100  # far past the 17 significant digits of a double
 
 
@@ -41,7 +39,7 @@ def _add_flags(sub: argparse.ArgumentParser, *names: str):
             type=int, default=None, metavar="N",
             help="cap every exact oracle at N vertices "
             f"(defaults: alpha {ALPHA_LIMIT}, vertex bipartiteness {VB_LIMIT}, "
-            f"edge bipartiteness {EB_LIMIT}; env {ENV_ORACLE_LIMIT})",
+            f"edge bipartiteness {EB_LIMIT})",
         ),
         "--iters": dict(type=int, default=SearchConfig.iterations, metavar="K",
                         help="gradient-search iterations (default %(default)s)"),
@@ -109,29 +107,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _oracle_limit(args):
-    """The common oracle limit from --oracle-limit or the environment, or
-    None to keep each oracle's own default."""
-    limit = args.oracle_limit
-    if limit is None:
-        raw = os.environ.get(ENV_ORACLE_LIMIT)
-        if raw is not None:
-            try:
-                limit = int(raw)
-            except ValueError:
-                raise GraphSpecError(
-                    f"{ENV_ORACLE_LIMIT} must be an integer, got {raw!r}"
-                ) from None
-    if limit is not None and limit < 1:
-        raise GraphSpecError("oracle limit must be at least 1")
-    return limit
-
-
 def _run_config(args, bounds=DEFAULT_BOUNDS) -> RunConfig:
     """The run settings from the flags the subcommand accepts; the rest
     keep their defaults."""
     flags = vars(args)
-    oracle_limit = _oracle_limit(args) if "oracle_limit" in flags else None
+    oracle_limit = flags.get("oracle_limit")
+    if oracle_limit is not None and oracle_limit < 1:
+        raise GraphSpecError("oracle limit must be at least 1")
     precision = flags.get("precision", RunConfig.precision)
     if precision < 0:
         raise GraphSpecError("--precision must be at least 0")

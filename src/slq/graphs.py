@@ -470,13 +470,14 @@ def is_regular(g: Graph) -> bool:
 # edge-list file format
 
 
-def read_edge_list(text: str, allow_isolated: bool = False) -> Graph:
+def read_edge_list(text: str) -> Graph:
     """Parse the edge-list format.
 
     Lines are LF-separated; blank lines and lines starting with '#' are
     skipped.  The first significant line is the vertex count n; every
     following line is "i j" with 0 <= i < j < n.  Duplicate edges are
-    rejected.  Errors carry 1-based line numbers.
+    rejected, and every vertex must be on an edge.  Errors about a line
+    carry its 1-based number.
     """
     n = None
     edges = []
@@ -520,7 +521,10 @@ def read_edge_list(text: str, allow_isolated: bool = False) -> Graph:
         edges.append((u, v))
     if n is None:
         raise EdgeListError("empty input: expected a vertex count line")
-    return build_graph(n, edges, allow_isolated=allow_isolated)
+    g = build_graph(n, edges, allow_isolated=True)
+    if not g.degrees.all():
+        raise EdgeListError(f"vertex {g.degrees.argmin()} is on no edge of the file")
+    return g
 
 
 def write_edge_list(g: Graph) -> str:

@@ -54,16 +54,6 @@ def _f(x, wx, xwx) -> float:
     return 2.0 * _norm(wx - xwx * x)
 
 
-def f_value_quadratic(w, x) -> float:
-    """Same value through the radicand form 2 sqrt(x'W^2x - (x'Wx)^2)."""
-    w = _as_matrix(w)
-    x = np.asarray(x, dtype=np.float64)
-    _check_unit(x)
-    wx = w @ x
-    rad = float(wx @ wx) - float(x @ wx) ** 2
-    return 2.0 * np.sqrt(max(rad, 0.0))
-
-
 def bound_from_vector(w, y) -> float:
     """Spread lower bound from any nonzero y: the f value of y/||y||,
     written scale-free as 2 ||t - (y't/y'y) y|| / ||y|| with t = W y.
@@ -239,19 +229,10 @@ def gradient_search(w, config: Optional[SearchConfig] = None) -> SearchTrace:
 
 
 # ---------------------------------------------------------------------------
-# particular start vectors and single steps
+# particular start vectors
 
 
 def ncon_value(n: int, m: int, m1: int) -> float:
     """All-ones vector bound in closed form: (4/n) sqrt(n M1 - 4 m^2)."""
     return 4.0 / n * np.sqrt(max(n * m1 - 4 * m * m, 0))
 
-
-def one_step_analytic_bound(w, step: float) -> float:
-    """f after a single projected gradient step from the all-ones start point.
-
-    Valid lower bound on s(W) by the minmax principle regardless of step
-    size; for the signless Laplacian of a regular graph the start is
-    stationary and the value is 0.
-    """
-    return gradient_search(w, SearchConfig(iterations=1, step=step)).first_step_value

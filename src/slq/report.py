@@ -45,6 +45,17 @@ class GraphSpecError(ValueError):
     """Unparseable graph specification string."""
 
 
+def _integers(spec: str, text: str, count: int, form: str) -> list:
+    """The ``count`` comma-separated integers of text, else an error naming the form."""
+    try:
+        values = [int(x) for x in text.split(",")]
+    except ValueError:
+        values = []
+    if len(values) != count:
+        raise GraphSpecError(f"bad graph spec {spec!r}: expected {form}")
+    return values
+
+
 def parse_graph_spec(spec: str, default_seed: Optional[int] = None):
     """Parse a graph source spec into (label, Graph).
 
@@ -57,10 +68,11 @@ def parse_graph_spec(spec: str, default_seed: Optional[int] = None):
     kind, _, rest = spec.partition(":")
     try:
         if kind in ("path", "cycle", "complete", "star", "kn1uk1"):
-            return spec, generate_named(kind, int(rest))
+            (k,) = _integers(spec, rest, 1, f"{kind}:K with an integer K")
+            return spec, generate_named(kind, k)
         if kind == "kbip":
-            p, q = rest.split(",")
-            return spec, generate_named("complete_bipartite", (int(p), int(q)))
+            sizes = _integers(spec, rest, 2, "kbip:P,Q with integers P and Q")
+            return spec, generate_named("complete_bipartite", sizes)
         if kind == "rand":
             fields = {}
             for part in rest.split(","):
@@ -72,7 +84,7 @@ def parse_graph_spec(spec: str, default_seed: Optional[int] = None):
                 key = key.strip()
                 if key in fields:
                     raise GraphSpecError(f"rand spec {spec!r} repeats {key}=")
-                fields[key] = int(value)
+                (fields[key],) = _integers(spec, value, 1, "rand:n=N,m=M,seed=S of integers")
             extra = set(fields) - {"n", "m", "seed"}
             if extra or "n" not in fields or "m" not in fields:
                 raise GraphSpecError(

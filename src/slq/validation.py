@@ -20,7 +20,6 @@ import numpy as np
 
 from .bounds import CatalogOptions, GraphData, evaluate_catalog
 from .graphs import (
-    Graph,
     build_graph,
     generate_named,
     generate_random_connected_many,
@@ -182,8 +181,8 @@ def small_connected_sample(count: int = 200, seed: int = 77001, max_n: int = 8):
 
 
 def random_connected_bipartites(specs) -> list:
-    """``random_connected_bipartite(n, seed)`` for each (n, seed) pair, with
-    the random trees built in batches."""
+    """A random connected bipartite graph per (n, seed) pair: a random tree
+    plus a random number of extra edges across its (unique) 2-coloring."""
     trees = generate_random_connected_many([(n, n - 1, seed) for n, seed in specs])
     out = []
     for tree, (n, seed) in zip(trees, specs):
@@ -203,12 +202,6 @@ def random_connected_bipartites(specs) -> list:
         rng.shuffle_prefix(cross, extra)
         out.append(build_graph(n, list(tree.edges) + cross[:extra]))
     return out
-
-
-def random_connected_bipartite(n: int, seed: int) -> Graph:
-    """Random connected bipartite graph: a random tree plus a random
-    number of extra edges across its (unique) 2-coloring."""
-    return random_connected_bipartites([(n, seed)])[0]
 
 
 def random_unit_vector(n: int, rng: SplitMix64) -> np.ndarray:

@@ -22,13 +22,13 @@ import time
 import numpy as np
 import pytest
 from conftest import bound, record_criterion
+from test_minmax import f_value_quadratic
 
 from slq import (
     GraphData,
     compare_l1_l2,
     eigenvalues,
     f_value,
-    f_value_quadratic,
     generate_named,
     generate_random_connected,
     generate_regular_circulant,
@@ -48,7 +48,7 @@ from slq.graphs import is_bipartite, is_regular
 from slq.validation import (
     check_identities,
     check_sandwich,
-    random_connected_bipartite,
+    random_connected_bipartites,
     small_connected_sample,
     standard_corpus,
 )
@@ -120,11 +120,9 @@ def test_criterion_2_equality_fixtures():
         g = generate_named("complete_bipartite", (k, k))
         expect(f"ub_mirsky_q(kbip:{k},{k})", bound("mirsky_q", g), 2.0 * k)
         expect(f"s_Q(kbip:{k},{k})", s_q_of(g), 2.0 * k)
-    for i in range(20):
-        n = 4 + (990000 + i) % 13
-        g = random_connected_bipartite(n, 990100 + i)
-        expect(f"lb_mu1_minus_vb(bipartite seed={990100 + i})",
-               bound("mu1_minus_vb", g), s_q_of(g))
+    specs = [(4 + (990000 + i) % 13, 990100 + i) for i in range(20)]
+    for (n, seed), g in zip(specs, random_connected_bipartites(specs)):
+        expect(f"lb_mu1_minus_vb(bipartite seed={seed})", bound("mu1_minus_vb", g), s_q_of(g))
     for k in range(1, 9):
         g = generate_named("complete", k + 1)
         expect(f"lb_cubic_moment(complete:{k + 1})", bound("cubic_moment", g), k + 1.0)

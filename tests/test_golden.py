@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from slq.cli import ENV_ORACLE_LIMIT, main
+from slq.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -33,8 +33,7 @@ CASES = {
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_stdout_matches_golden_file(name, capsys, monkeypatch):
-    monkeypatch.delenv(ENV_ORACLE_LIMIT, raising=False)
+def test_stdout_matches_golden_file(name, capsys):
     assert main(CASES[name].split()) == 0
     out = capsys.readouterr().out
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()

@@ -768,6 +768,13 @@ class TestEdgeListFormat:
         with pytest.raises(EdgeListError, match="out of range"):
             read_edge_list("3\n0 5\n")
 
+    @pytest.mark.parametrize("text, vertex", [("4\n1 2\n2 3\n", 0), ("5\n0 1\n1 2\n", 3),
+                                              ("1\n", 0)])
+    def test_rejects_a_vertex_on_no_edge(self, text, vertex):
+        with pytest.raises(EdgeListError) as err:
+            read_edge_list(text)
+        assert str(err.value) == f"vertex {vertex} is on no edge of the file"
+
     def test_rejects_empty(self):
         with pytest.raises(EdgeListError, match="empty"):
             read_edge_list("# nothing\n")

@@ -19,13 +19,11 @@ from slq import (
     build_graph,
     evaluate_catalog,
     f_value,
-    f_value_quadratic,
     generate_named,
     generate_random_connected,
     grad_f_squared,
     gradient_search,
     numerical_grad_f_squared,
-    one_step_analytic_bound,
     signless_laplacian_matrix,
     spread_report,
 )
@@ -51,6 +49,21 @@ def random_unit(n: int, rng: SplitMix64) -> np.ndarray:
     if not v.any():
         v[0] = 1.0
     return v / np.linalg.norm(v)
+
+
+def f_value_quadratic(w, x) -> float:
+    """Reference for f_value: the radicand form 2 sqrt(x'W^2x - (x'Wx)^2)
+    at a unit vector x."""
+    x = np.asarray(x, dtype=np.float64)
+    wx = w @ x
+    rad = float(wx @ wx) - float(x @ wx) ** 2
+    return 2.0 * np.sqrt(max(rad, 0.0))
+
+
+def one_step(w, step: float) -> float:
+    """f after a single search step of size ``step`` from the all-ones
+    start, the value the one_step entry reads from the search trace."""
+    return gradient_search(w, SearchConfig(iterations=1, step=step)).first_step_value
 
 
 def spread_of(w) -> float:
@@ -308,8 +321,7 @@ class TestOneProductPerIterate:
                 assert fn(w, x) == pytest.approx(fn(q, x), rel=1e-12, abs=1e-12), label
             assert np.allclose(grad_f_squared(w, x), grad_f_squared(q, x), rtol=1e-12, atol=1e-12)
             assert gradient_search(w).values == pytest.approx(gradient_search(q).values, rel=1e-12)
-            assert one_step_analytic_bound(w, 0.1) == pytest.approx(
-                one_step_analytic_bound(q, 0.1), rel=1e-12, abs=1e-12)
+            assert one_step(w, 0.1) == pytest.approx(one_step(q, 0.1), rel=1e-12, abs=1e-12)
 
 class TestOneSearchPerGraph:
     """eta and one_step read one cached search of GraphData."""
@@ -358,7 +370,7 @@ class TestOneSearchPerGraph:
         for step in (0.1, 0.3):
             options = CatalogOptions(search=SearchConfig(step=step, step_mode=step_mode))
             for label, g in graphs:
-                want = one_step_analytic_bound(signless_laplacian_matrix(g), step)
+                want = one_step(signless_laplacian_matrix(g), step)
                 assert bound("one_step", g, options) == want, label
         assert gradient_search(signless_laplacian_matrix(generate_named("cycle", 6))).perturbed
 
@@ -372,24 +384,24 @@ class TestOneSearchPerGraph:
             values, _, perturbed, _ = reference_search(q, cfg)
             start = np.full(g.n, 1.0 / np.sqrt(g.n))
             want = f_value(q, start) if perturbed else values[0]
-            assert one_step_analytic_bound(q, cfg.step) == want, label
+            assert one_step(q, cfg.step) == want, label
 
 
 class TestOneStep:
     def test_regular_graph_sits_at_stationary_zero(self):
         g = generate_named("cycle", 6)
-        value = one_step_analytic_bound(signless_laplacian_matrix(g), SearchConfig().step)
+        value = one_step(signless_laplacian_matrix(g), SearchConfig().step)
         assert value == pytest.approx(0.0, abs=1e-9)
         assert bound("one_step", g) == value
 
     def test_irregular_graph_moves_and_stays_valid(self):
         g = generate_named("star", 4)
-        value = one_step_analytic_bound(signless_laplacian_matrix(g), SearchConfig().step)
+        value = one_step(signless_laplacian_matrix(g), SearchConfig().step)
         assert 0.0 < value <= spread_report(g).s_q + 1e-9
 
     @given(connected_specs)
     def test_always_a_valid_lower_bound(self, spec):
         n, m, seed = spec
         g = generate_random_connected(n, m, seed)
-        value = one_step_analytic_bound(signless_laplacian_matrix(g), step=0.3)
+        value = one_step(signless_laplacian_matrix(g), step=0.3)
         assert value <= spread_report(g).s_q + 1e-9

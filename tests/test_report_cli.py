@@ -11,7 +11,7 @@ from slq import Graph, generate_named, generate_random_connected, spectra, write
 from slq.bounds import CatalogOptions, GraphData, evaluate_catalog
 from slq.combinatorics import VB_LIMIT
 from slq.cli import main
-from slq.minmax import SearchConfig, bound_from_vector, gradient_search, one_step_analytic_bound
+from slq.minmax import SearchConfig, bound_from_vector, gradient_search
 from slq.spectra import eigenvalues
 from slq.report import (
     DEFAULT_BOUNDS,
@@ -328,6 +328,29 @@ class TestCliMain:
         assert main(["table", "wat"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spec, detail", [
+        ("kbip:3", "expected kbip:P,Q with integers P and Q"),
+        ("kbip:1,2,3", "expected kbip:P,Q with integers P and Q"),
+        ("path:x", "expected path:K with an integer K"),
+        ("rand:n=x,m=3,seed=1", "expected rand:n=N,m=M,seed=S of integers"),
+        # a generator's own message passes through
+        ("rand:n=5,m=40,seed=1", "edge count must satisfy 4 <= m <= 10"),
+    ])
+    def test_bad_spec_says_what_is_wrong(self, capsys, spec, detail):
+        assert main(["table", spec]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: bad graph spec {spec!r}: {detail}\n"
+        assert "unpack" not in captured.err and "invalid literal" not in captured.err
+
+    def test_file_vertex_on_no_edge_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "isolated.edges"
+        path.write_text("4\n0 1\n1 2\n")
+        assert main(["table", f"file:{path}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "vertex 3 is on no edge of the file" in captured.err
+        assert "allow_isolated" not in captured.err
+
     def test_repeated_rand_key_exits_2(self, capsys):
         assert main(["table", "rand:n=5,m=4,seed=1,seed=2"]) == 2
         captured = capsys.readouterr()
@@ -388,21 +411,15 @@ class TestCliMain:
         values = [float(x) for x in capsys.readouterr().out.split()]
         assert values == pytest.approx([2.0, -1.0, -1.0], abs=1e-9)
 
-    def test_env_oracle_limit(self, capsys, monkeypatch):
+    def test_output_does_not_depend_on_an_oracle_limit_variable(self, capsys, monkeypatch):
+        # the oracle limit has one way in, --oracle-limit
+        monkeypatch.delenv("SLQ_ORACLE_LIMIT", raising=False)
+        assert main(["invariants", "cycle:5"]) == 0
+        plain = capsys.readouterr().out
         monkeypatch.setenv("SLQ_ORACLE_LIMIT", "4")
         assert main(["invariants", "cycle:5"]) == 0
-        out = capsys.readouterr().out
-        assert "alpha = n/a" in out and "exceeds oracle limit 4" in out
-
-    def test_flag_overrides_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SLQ_ORACLE_LIMIT", "4")
-        assert main(["invariants", "cycle:5", "--oracle-limit", "30"]) == 0
-        assert "alpha = 2" in capsys.readouterr().out
-
-    def test_bad_env_value_exits_2(self, capsys, monkeypatch):
-        monkeypatch.setenv("SLQ_ORACLE_LIMIT", "many")
-        assert main(["invariants", "cycle:5"]) == 2
-        assert "SLQ_ORACLE_LIMIT" in capsys.readouterr().err
+        assert capsys.readouterr().out == plain
+        assert "alpha = 2" in plain
 
     def test_nonpositive_limit_exits_2(self, capsys):
         assert main(["invariants", "cycle:5", "--oracle-limit", "0"]) == 2
@@ -514,11 +531,6 @@ class TestCliMain:
         assert captured.err.startswith(f"usage: slq {args[0]} ")
         assert f"slq {args[0]}: error: unrecognized arguments: {flag}" in captured.err
 
-    def test_spectrum_does_not_read_the_oracle_limit_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("SLQ_ORACLE_LIMIT", "abc")
-        assert main(["spectrum", "cycle:4"]) == 0
-        assert len(capsys.readouterr().out.split()) == 4
-
 
 class TestLazySpectra:
     """Spectra are solved only where an entry or the violation rule reads
@@ -592,7 +604,8 @@ class TestOneSignlessLaplacian:
         want = {
             "eta": gradient_search(q, options.search).best_value,
             "Z2": bound_from_vector(q, deg**-3),
-            "one_step": one_step_analytic_bound(q, options.search.step),
+            "one_step": gradient_search(
+                q, SearchConfig(iterations=1, step=options.search.step)).first_step_value,
         }
         got = {o.name: o.value for o in row.outcomes if o.name in want}
         assert got == pytest.approx(want, rel=1e-12, abs=0)

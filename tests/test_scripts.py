@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from slq.cli import ENV_ORACLE_LIMIT, main
+from slq.cli import main
 
 SCRIPTS = Path(__file__).parent.parent / "scripts"
 
@@ -22,7 +22,6 @@ def run_script(name, args, capsys, monkeypatch):
 
 
 def test_bound_table_prints_the_slq_table(capsys, monkeypatch):
-    monkeypatch.delenv(ENV_ORACLE_LIMIT, raising=False)
     code, out = run_script("bound_table.py", ["--format", "csv"], capsys, monkeypatch)
     assert code == 0
     preamble, blank, table = out.partition("\n\n")

@@ -37,7 +37,7 @@ from slq.validation import (
     check_sandwich,
     named_corpus,
     printed_form_excluded,
-    random_connected_bipartite,
+    random_connected_bipartites,
     random_corpus,
     random_unit_vector,
     small_connected_sample,
@@ -97,11 +97,10 @@ class TestCorpora:
             assert_connected_by_search(g)
 
     def test_random_connected_bipartite(self):
-        for seed in range(6):
-            g = random_connected_bipartite(9, seed)
+        for g in random_connected_bipartites([(9, seed) for seed in range(6)]):
             assert_connected_by_search(g)
             assert is_bipartite(g)[0]
-        assert random_connected_bipartite(9, 2) == random_connected_bipartite(9, 2)
+        assert random_connected_bipartites([(9, 2)]) == random_connected_bipartites([(9, 2)])
 
     def test_random_unit_vector(self):
         rng = SplitMix64(5)
@@ -171,8 +170,8 @@ class TestBatchedCorpora:
 
     def test_bipartite_batch_matches_one_at_a_time(self):
         specs = [(4 + SplitMix64(990000 + i).below(13), 990100 + i) for i in range(20)]
-        graphs = validation.random_connected_bipartites(specs)
-        assert graphs == [random_connected_bipartite(n, seed) for n, seed in specs]
+        graphs = random_connected_bipartites(specs)
+        assert graphs == [random_connected_bipartites([s])[0] for s in specs]
 
 
 class TestExclusionPredicate:
