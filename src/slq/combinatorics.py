@@ -3,26 +3,39 @@
 These exponential-time ground-truth oracles refuse inputs above their size
 limit by raising OracleLimitError, so callers can degrade gracefully;
 ``limit=None`` means the oracle's own default (ALPHA_LIMIT, VB_LIMIT or
-EB_LIMIT).  Independence numbers come from a branch and bound for a maximum
-clique of the complement (Tomita's MCQ), pruned by a greedy clique cover,
-with the vertices taken in ascending degree order.  Vertex bipartiteness is
+EB_LIMIT).  Each oracle takes a Graph or an OracleRecord, which holds what
+the oracles share on one graph, each part made on first use: the
+neighbourhood bitmasks in ascending degree order (one pass over the
+edges), the masks of G □ K2 derived from them, the bipartite flag of the
+graph's two-coloring, and alpha(G) with one maximum independent set S.
+Every oracle checks its own limit before it runs or reads a search, so a
+shared record refuses exactly as a fresh graph does.
+
+Independence numbers come from a branch and bound for a maximum clique of
+the complement (Tomita's MCQ), pruned by a greedy clique cover, with the
+vertices taken in ascending degree order.  Vertex bipartiteness is
 n - alpha(G □ K2): an induced bipartite subgraph of G is two disjoint
 independent sets, i.e. one independent set of the Cartesian product of G
 with an edge.  The two copies of each vertex are neighbours in bit order,
-so the greedy cover pairs them.  Swapping the two copies is an automorphism
-of G □ K2, so some maximum independent set avoids copy 1 of the
-lowest-degree vertex, and the search starts without it.  Max cut
+so the greedy cover pairs them.  The search starts from the incumbent
+alpha(G) + alpha(G - S), S on copy 0 and a maximum independent set of
+G - S on copy 1, and is skipped when that meets the bound 2 alpha(G); the
+values are those of a search from nothing.  Swapping the two copies is an
+automorphism of G □ K2, so some maximum independent set avoids copy 1 of
+the lowest-degree vertex, and the search starts without it.  Max cut
 tabulates all bipartitions, in place, by doubling; a bipartite graph cuts
 all its edges.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
-from .graphs import Graph, is_bipartite
+from .graphs import Graph
 
 ALPHA_LIMIT = 30
 VB_LIMIT = 20
@@ -39,33 +52,34 @@ class OracleLimitError(ValueError):
         self.limit = limit
 
 
-def _adjacency_masks(g: Graph, doubled: bool = False):
+def _adjacency_masks(g: Graph):
     """Neighbourhood bitmasks, with the vertices relabelled in ascending
     degree order (a stable sort): the branch and bound takes the lowest bit
-    first.  With ``doubled``, the masks of G □ K2, whose two copies of the
-    vertex of rank r are 2r and 2r + 1."""
-    step = 2 if doubled else 1
+    first."""
     label = np.empty(g.n, dtype=np.int64)
-    label[np.argsort(g.degrees, kind="stable")] = np.arange(0, step * g.n, step)
-    adj = [0] * (step * g.n)
+    label[np.argsort(g.degrees, kind="stable")] = np.arange(g.n)
+    adj = [0] * g.n
     for u, v in label[g.edge_array].tolist():
         adj[u] |= 1 << v
         adj[v] |= 1 << u
-    if doubled:
-        for u in range(0, 2 * g.n, 2):
-            a = adj[u]
-            adj[u] = a | 2 << u
-            adj[u + 1] = a << 1 | 1 << u
     return adj
 
 
-def _max_independent_set(nv: int, adj, cand: Optional[int] = None) -> int:
-    """Independence number of the graph on nv vertices with neighbourhood
-    bitmasks adj; with ``cand``, of the subgraph induced by that mask."""
-    best = 0
+def _spread(mask: int) -> int:
+    """mask with bit r moved to bit 2r: its binary digits read in base 4."""
+    return int(format(mask, "b"), 4)
 
-    def expand(cand: int, size: int):
-        nonlocal best
+
+def _max_independent_set(nv: int, adj, cand: Optional[int] = None, incumbent: int = 0):
+    """A maximum independent set of the graph on nv vertices with
+    neighbourhood bitmasks adj, as (size, mask); with ``cand``, of the
+    subgraph induced by that mask.  The search starts from the independent
+    set ``incumbent`` and returns it when it finds no larger set."""
+    best = incumbent.bit_count()
+    found = incumbent
+
+    def expand(cand: int, size: int, chosen: int):
+        nonlocal best, found
         # cover the candidates greedily by cliques; a vertex in the k-th
         # clique heads a branch that can add at most k vertices
         order = []
@@ -86,42 +100,96 @@ def _max_independent_set(nv: int, adj, cand: Optional[int] = None) -> int:
             b = 1 << v
             rest = cand & ~(adj[v] | b)
             if rest:
-                expand(rest, size + 1)
+                expand(rest, size + 1, chosen | b)
             elif size + 1 > best:
                 best = size + 1
+                found = chosen | b
             cand ^= b
 
-    expand((1 << nv) - 1 if cand is None else cand, 0)
-    return best
+    expand((1 << nv) - 1 if cand is None else cand, 0, 0)
+    return best, found
 
 
-def independence_number(g: Graph, limit: Optional[int] = None) -> int:
-    """Maximum independent set size."""
-    limit = ALPHA_LIMIT if limit is None else limit
-    if g.n > limit:
-        raise OracleLimitError("independence number", g.n, limit)
-    return _max_independent_set(g.n, _adjacency_masks(g))
+@dataclass(eq=False)
+class OracleRecord:
+    """What the oracles share on one graph, each part made on first use."""
+
+    graph: Graph
+
+    @cached_property
+    def masks(self) -> list:
+        return _adjacency_masks(self.graph)
+
+    @cached_property
+    def doubled_masks(self) -> list:
+        """The masks of G □ K2, whose two copies of the vertex of rank r
+        are 2r and 2r + 1: each mask of G spread to the even bits."""
+        adj = []
+        for r, a in enumerate(self.masks):
+            even = _spread(a)
+            adj += (even | 2 << 2 * r, even << 1 | 1 << 2 * r)
+        return adj
+
+    @property
+    def bipartite(self) -> bool:
+        """Read from the graph, which keeps it with its two-coloring."""
+        return self.graph._bipartite
+
+    @cached_property
+    def alpha(self) -> tuple:
+        """alpha(G) and one maximum independent set, as a mask of ranks."""
+        return _max_independent_set(self.graph.n, self.masks)
 
 
-def vertex_bipartiteness(g: Graph, limit: Optional[int] = None) -> int:
-    """Minimum number of vertex deletions leaving a bipartite graph:
-    n - alpha(G □ K2).  Bipartite inputs short-circuit to 0."""
-    if is_bipartite(g)[0]:
-        return 0
-    limit = VB_LIMIT if limit is None else limit
-    if g.n > limit:
-        raise OracleLimitError("vertex bipartiteness", g.n, limit)
+def _record(g) -> OracleRecord:
+    return g if isinstance(g, OracleRecord) else OracleRecord(g)
+
+
+def _prism_independent_set(record: OracleRecord):
+    """A maximum independent set of G □ K2, as (size, mask of the doubled
+    ranks).  S on copy 0 and a maximum independent set of G - S on copy 1
+    are independent in G □ K2; each copy holds at most alpha(G) vertices,
+    so an incumbent of 2 alpha(G) needs no search."""
+    n = record.graph.n
+    alpha, s = record.alpha
+    rest, t = _max_independent_set(n, record.masks, ((1 << n) - 1) ^ s)
+    incumbent = _spread(s) | _spread(t) << 1
+    if rest == alpha:
+        return 2 * alpha, incumbent
     # swapping the two copies is an automorphism of G □ K2 that maps a
     # maximum independent set holding copy 1 of the rank-0 vertex (bit 1) to
     # one of the same size holding copy 0 instead, so the search may start
     # without bit 1
-    cand = ((1 << 2 * g.n) - 1) ^ 2
-    return g.n - _max_independent_set(2 * g.n, _adjacency_masks(g, doubled=True), cand)
+    cand = ((1 << 2 * n) - 1) ^ 2
+    return _max_independent_set(2 * n, record.doubled_masks, cand, incumbent)
 
 
-def max_cut(g: Graph, limit: Optional[int] = None) -> int:
-    """Maximum cut size over all 2^(n-1) bipartitions (vertex n-1 of the
-    degree order pinned to side 0).  Bipartite inputs short-circuit to m.
+def independence_number(g, limit: Optional[int] = None) -> int:
+    """Maximum independent set size of a Graph or OracleRecord."""
+    record = _record(g)
+    limit = ALPHA_LIMIT if limit is None else limit
+    if record.graph.n > limit:
+        raise OracleLimitError("independence number", record.graph.n, limit)
+    return record.alpha[0]
+
+
+def vertex_bipartiteness(g, limit: Optional[int] = None) -> int:
+    """Minimum number of vertex deletions leaving a bipartite graph:
+    n - alpha(G □ K2).  Bipartite inputs short-circuit to 0."""
+    record = _record(g)
+    if record.bipartite:
+        return 0
+    n = record.graph.n
+    limit = VB_LIMIT if limit is None else limit
+    if n > limit:
+        raise OracleLimitError("vertex bipartiteness", n, limit)
+    return n - _prism_independent_set(record)[0]
+
+
+def max_cut(g, limit: Optional[int] = None) -> int:
+    """Maximum cut size of a Graph or OracleRecord over all 2^(n-1)
+    bipartitions (vertex n-1 of the degree order pinned to side 0).
+    Bipartite inputs short-circuit to m.
 
     Doubling builds the cut value of every bipartition of the first
     ``head`` = min(n - 1, 20) vertices in one table, in place: vertex k
@@ -132,15 +200,17 @@ def max_cut(g: Graph, limit: Optional[int] = None) -> int:
     the fixed vertices on the other side to the constant of its half, so
     no array exceeds 2^20 entries.
     """
+    record = _record(g)
+    g = record.graph
     limit = EB_LIMIT if limit is None else limit
     if g.n > limit:
         raise OracleLimitError("max cut", g.n, limit)
     if g.m == 0:
         return 0
-    if is_bipartite(g)[0]:
+    if record.bipartite:
         return g.m
     n = g.n
-    adj = _adjacency_masks(g)
+    adj = record.masks
     head = min(n - 1, 20)
     fixed = ((1 << n) - 1) ^ ((1 << head) - 1)
     # cut <= m, so one byte per entry does below m = 256
@@ -181,7 +251,8 @@ def max_cut(g: Graph, limit: Optional[int] = None) -> int:
     return best
 
 
-def edge_bipartiteness(g: Graph, limit: Optional[int] = None) -> int:
+def edge_bipartiteness(g, limit: Optional[int] = None) -> int:
     """Minimum number of edge deletions leaving a bipartite graph: m - maxcut."""
-    return g.m - max_cut(g, limit=limit)
+    record = _record(g)
+    return record.graph.m - max_cut(record, limit=limit)
 

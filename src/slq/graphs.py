@@ -113,6 +113,14 @@ class Graph:
     def components(self) -> int:
         return self._two_coloring[1]
 
+    @cached_property
+    def _bipartite(self) -> bool:
+        """True when no edge joins two vertices of one color of
+        ``_two_coloring``."""
+        color = self._two_coloring[0]
+        u, v = self.edge_array.T
+        return not (color[u] == color[v]).any()
+
     def __eq__(self, other) -> bool:
         return isinstance(other, Graph) and self.n == other.n and np.array_equal(
             self.edge_array, other.edge_array
@@ -454,10 +462,9 @@ def is_connected(g: Graph) -> bool:
 
 def is_bipartite(g: Graph):
     """Two-color by BFS.  Returns (True, (part0, part1)) or (False, None)."""
-    color = g._two_coloring[0]
-    u, v = g.edge_array.T
-    if (color[u] == color[v]).any():
+    if not g._bipartite:
         return False, None
+    color = g._two_coloring[0]
     part0, part1 = (tuple(np.flatnonzero(color == c).tolist()) for c in (0, 1))
     return True, (part0, part1)
 

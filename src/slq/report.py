@@ -17,6 +17,7 @@ from typing import Optional
 from .bounds import CATALOG_BY_NAME, CatalogOptions, GraphData, evaluate_catalog
 from .combinatorics import (
     OracleLimitError,
+    OracleRecord,
     edge_bipartiteness,
     independence_number,
     vertex_bipartiteness,
@@ -105,6 +106,10 @@ def parse_graph_spec(spec: str, default_seed: Optional[int] = None):
                 return spec, read_edge_list(fh.read())
     except GraphSpecError:
         raise
+    except UnicodeDecodeError as exc:
+        raise GraphSpecError(
+            f"bad graph spec {spec!r}: not UTF-8 text (byte offset {exc.start})"
+        ) from None
     except (ValueError, GraphError) as exc:
         raise GraphSpecError(f"bad graph spec {spec!r}: {exc}") from None
     raise GraphSpecError(f"unknown graph spec kind {kind!r}")
@@ -299,9 +304,11 @@ def run_invariants(spec: str, config: RunConfig) -> str:
         ("M1", str(profile.m1)),
     ]
 
+    record = OracleRecord(g)
+
     def oracle(fn):
         try:
-            return str(fn(g, limit=config.catalog.oracle_limit))
+            return str(fn(record, limit=config.catalog.oracle_limit))
         except OracleLimitError as exc:
             return f"n/a ({exc})"
 

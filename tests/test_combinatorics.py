@@ -20,7 +20,12 @@ from slq import (
     vertex_bipartiteness,
 )
 from slq import combinatorics
-from slq.combinatorics import _adjacency_masks, _max_independent_set
+from slq.combinatorics import (
+    OracleRecord,
+    _adjacency_masks,
+    _max_independent_set,
+    _prism_independent_set,
+)
 from slq.report import parse_graph_spec
 from slq.validation import small_connected_sample, standard_corpus
 
@@ -377,16 +382,18 @@ ORACLE_SMALL_VB = {
 
 def full_candidate_vb(g) -> int:
     """Oracle: n - alpha(G □ K2) searched over every vertex of G □ K2,
-    both copies of the rank-0 vertex included."""
-    return g.n - _max_independent_set(2 * g.n, _adjacency_masks(g, doubled=True))
+    both copies of the rank-0 vertex included, from no incumbent."""
+    return g.n - _max_independent_set(2 * g.n, OracleRecord(g).doubled_masks)[0]
 
 
 class TestSearchSize:
     """Deterministic caps on the branch and bound, counted in calls to its
-    nested ``expand`` rather than timed.  Without the degree order the
-    sparse n = 60 graph runs for minutes."""
+    nested ``expand`` rather than timed; the counts include the two alpha
+    searches behind the incumbent.  Without the degree order the sparse
+    n = 60 graph runs for minutes."""
 
-    CAP = 20_000
+    # 838 calls
+    CAP = 19_976
 
     def test_sparse_sixty_vertices(self):
         _, g = parse_graph_spec("rand:n=60,m=90,seed=1")
@@ -395,24 +402,25 @@ class TestSearchSize:
 
     @pytest.mark.parametrize("m, vb", [(322, 25), (634, 33)])
     def test_paper_rows(self, m, vb):
-        # the search makes 2,267 calls on m = 322 and 168 on m = 634
+        # the searches make 2,220 calls on m = 322 and 135 on m = 634
         _, g = parse_graph_spec(f"rand:n=40,m={m},seed=1")
-        cap = {322: 2_500, 634: 200}[m]
+        cap = {322: 2_448, 634: 160}[m]
         value = under_expand_cap(lambda: vertex_bipartiteness(g, limit=40), cap)
         assert value == vb == natural_order_vb(g)
 
     def test_oracle_small_members(self):
-        # 868 calls together
+        # 651 calls together
         graphs = {spec: parse_graph_spec(spec)[1] for spec in ORACLE_SMALL_VB}
         values = under_expand_cap(
-            lambda: {spec: vertex_bipartiteness(g) for spec, g in graphs.items()}, 900
+            lambda: {spec: vertex_bipartiteness(g) for spec, g in graphs.items()}, 675
         )
         assert values == ORACLE_SMALL_VB
 
     @pytest.mark.parametrize("n", [16, 17, 18])
     def test_complete_graphs_take_two_calls(self, n):
-        # the greedy cover of K_n □ K2 pairs the two copies of each vertex;
-        # with both copies of the rank-0 vertex left in, the search takes
+        # alpha(K_n) and alpha(K_n - S) take one call each, and their sum
+        # 2 meets the bound 2 alpha, so K_n □ K2 is not searched; a search
+        # from nothing with both copies of the rank-0 vertex left in takes
         # 2n - 3 calls
         g = generate_named("complete", n)
         assert under_expand_cap(lambda: vertex_bipartiteness(g), 2) == n - 2
@@ -429,9 +437,114 @@ class TestCopySwapSymmetry:
         # C_5 has alpha 2; without vertices 0 and 1 it is the path 2-3-4
         c5 = generate_named("cycle", 5)
         adj = _adjacency_masks(c5)
-        assert _max_independent_set(5, adj) == 2
-        assert _max_independent_set(5, adj, 0b11100) == 2
-        assert _max_independent_set(5, adj, 0b01100) == 1
+        assert _max_independent_set(5, adj)[0] == 2
+        assert _max_independent_set(5, adj, 0b11100)[0] == 2
+        assert _max_independent_set(5, adj, 0b01100)[0] == 1
+
+
+def independent(adj, mask: int) -> bool:
+    """True when no two vertices of mask are neighbours in adj."""
+    return all(not (mask >> v & 1 and adj[v] & mask) for v in range(len(adj)))
+
+
+def masks_from_bits(n: int, bits: int):
+    """The graph on n vertices whose pair (u, v), u < v, in lexicographic
+    order is an edge when the matching bit of bits is set."""
+    adj = [0] * n
+    for i, (u, v) in enumerate(combinations(range(n), 2)):
+        if bits >> i & 1:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
+random_masks = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.integers(0, 2 ** (n * (n - 1) // 2) - 1),
+        st.permutations(range(n)),
+    )
+)
+
+
+class TestIndependentSetSearch:
+    @given(random_masks)
+    def test_returned_set_is_maximum_and_independent(self, spec):
+        n, bits, order = spec
+        adj = masks_from_bits(n, bits)
+        alpha = natural_order_alpha(n, adj)
+        size, found = _max_independent_set(n, adj)
+        assert independent(adj, found) and found.bit_count() == size == alpha
+        # a greedy independent set, in a random order, as the incumbent
+        incumbent = 0
+        for v in order:
+            if not adj[v] & incumbent:
+                incumbent |= 1 << v
+        b = incumbent.bit_count()
+        size, found = _max_independent_set(n, adj, incumbent=incumbent)
+        assert independent(adj, found) and found.bit_count() == size == max(b, alpha)
+        if b == alpha:
+            assert found == incumbent
+
+
+def prism_witness_check(g, limit=None):
+    """The rungs D of G □ K2 with neither copy in the returned set: |D| is
+    vb and G - D is bipartite."""
+    record = OracleRecord(g)
+    size, found = _prism_independent_set(record)
+    assert independent(record.doubled_masks, found) and found.bit_count() == size
+    gone = sum(1 << r for r in range(g.n) if not found >> 2 * r & 3)
+    assert gone.bit_count() == vertex_bipartiteness(g, limit=limit), g
+    assert _bipartite_after_removal(record.masks, g.n, gone), g
+
+
+class TestPrismWitness:
+    def test_corpus_graphs(self):
+        graphs = [g for _, g in CORPUS if g.n <= 20]
+        assert len(graphs) > 100
+        for g in graphs:
+            prism_witness_check(g)
+
+    def test_oracle_small_members(self):
+        specs = [spec for spec in ORACLE_SMALL_VB if spec.startswith("rand:")]
+        assert len(specs) == 15
+        for spec in specs:
+            prism_witness_check(parse_graph_spec(spec)[1])
+
+    @pytest.mark.parametrize("m", [322, 634])
+    def test_paper_rows(self, m):
+        prism_witness_check(parse_graph_spec(f"rand:n=40,m={m},seed=1")[1], limit=40)
+
+
+class TestOracleRecord:
+    def test_shared_record_equals_fresh_calls(self):
+        graphs = [parse_graph_spec(spec)[1] for spec in ORACLE_SMALL_VB]
+        graphs += [petersen(), generate_named("cycle", 5), generate_named("path", 1)]
+        for g in graphs:
+            record = OracleRecord(g)
+            shared = (
+                independence_number(record),
+                vertex_bipartiteness(record),
+                edge_bipartiteness(record),
+            )
+            assert shared == (
+                independence_number(g),
+                vertex_bipartiteness(g),
+                edge_bipartiteness(g),
+            ), g
+
+    def test_limits_apply_after_the_record_is_filled(self):
+        g = parse_graph_spec("rand:n=16,m=48,seed=7692986104271406305")[1]
+        record = OracleRecord(g)
+        assert vertex_bipartiteness(record) == 6
+        assert "alpha" in vars(record)
+        with pytest.raises(OracleLimitError, match="independence number: n=16 exceeds oracle limit 5"):
+            independence_number(record, limit=5)
+        with pytest.raises(OracleLimitError, match="vertex bipartiteness"):
+            vertex_bipartiteness(record, limit=5)
+        assert max_cut(record) == 48 - edge_bipartiteness(record)
+        with pytest.raises(OracleLimitError, match="max cut"):
+            edge_bipartiteness(record, limit=5)
 
 
 class TestMaxCutOfBipartiteGraphs:

@@ -351,6 +351,22 @@ class TestCliMain:
         assert captured.out == "" and "vertex 3 is on no edge of the file" in captured.err
         assert "allow_isolated" not in captured.err
 
+    def test_file_not_utf8_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "latin1.edges"
+        path.write_bytes(b"3\n0 1\n1 2 # caf\xe9\n")
+        assert main(["table", f"file:{path}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: bad graph spec 'file:{path}': not UTF-8 text (byte offset 15)\n"
+        )
+        path.write_bytes(b"\xff")
+        assert main(["table", f"file:{path}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: bad graph spec")
+        assert "not UTF-8 text (byte offset 0)" in captured.err
+        assert "codec" not in captured.err
+
     def test_repeated_rand_key_exits_2(self, capsys):
         assert main(["table", "rand:n=5,m=4,seed=1,seed=2"]) == 2
         captured = capsys.readouterr()
