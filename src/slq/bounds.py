@@ -10,9 +10,8 @@ reports inapplicable entries with a reason instead of skipping them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -33,12 +32,11 @@ class BoundNotApplicable(ValueError):
 # shared per-graph context
 
 
-@dataclass(frozen=True)
-class CatalogOptions:
+class CatalogOptions(NamedTuple):
     """Catalog evaluation settings."""
 
     oracle_limit: Optional[int] = None  # caps every oracle; None = each its own default
-    search: SearchConfig = field(default_factory=SearchConfig)
+    search: SearchConfig = SearchConfig()
 
 
 class GraphData:
@@ -329,8 +327,7 @@ def ub_das_laplacian(data: GraphData) -> float:
 # closed-form comparison of the two degree-parameter lower bounds
 
 
-@dataclass(frozen=True)
-class L1L2Report:
+class L1L2Report(NamedTuple):
     """Which of the two degree-parameter bounds dominates, and whether the
     classification theorem predicts it for this graph."""
 
@@ -389,8 +386,7 @@ def compare_l1_l2(g: Graph) -> L1L2Report:
 # the catalog
 
 
-@dataclass(frozen=True)
-class BoundCatalogEntry:
+class BoundCatalogEntry(NamedTuple):
     """A named bound: its direction ("lower" | "upper"), the spread it
     targets ("s_Q" | "s_L") and its evaluator, a function of GraphData
     that returns the value or raises BoundNotApplicable."""
@@ -431,8 +427,7 @@ CATALOG = (
 CATALOG_BY_NAME = {entry.name: entry for entry in CATALOG}
 
 
-@dataclass(frozen=True)
-class CatalogOutcome:
+class CatalogOutcome(NamedTuple):
     """Result of one catalog entry on one graph: the value, or None with a
     reason why the bound was not evaluated (failed hypotheses or oracle
     size limit)."""

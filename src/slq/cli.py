@@ -34,6 +34,7 @@ MAX_PRECISION = 100  # far past the 17 significant digits of a double
 
 def _add_flags(sub: argparse.ArgumentParser, *names: str):
     """Add the named flags; each subcommand takes only the ones it reads."""
+    search, run = SearchConfig._field_defaults, RunConfig._field_defaults
     specs = {
         "--oracle-limit": dict(
             type=int, default=None, metavar="N",
@@ -41,17 +42,17 @@ def _add_flags(sub: argparse.ArgumentParser, *names: str):
             f"(defaults: alpha {ALPHA_LIMIT}, vertex bipartiteness {VB_LIMIT}, "
             f"edge bipartiteness {EB_LIMIT})",
         ),
-        "--iters": dict(type=int, default=SearchConfig.iterations, metavar="K",
+        "--iters": dict(type=int, default=search["iterations"], metavar="K",
                         help="gradient-search iterations (default %(default)s)"),
-        "--step": dict(type=float, default=SearchConfig.step, metavar="S",
+        "--step": dict(type=float, default=search["step"], metavar="S",
                        help="gradient-search step size (default %(default)s)"),
-        "--step-mode": dict(choices=("constant", "decreasing"), default=SearchConfig.step_mode,
+        "--step-mode": dict(choices=("constant", "decreasing"), default=search["step_mode"],
                             help="step schedule: s or s/sqrt(k)"),
-        "--format": dict(choices=("csv", "text"), default=RunConfig.fmt, dest="fmt",
+        "--format": dict(choices=("csv", "text"), default=run["fmt"], dest="fmt",
                          help="output format (default %(default)s)"),
         "--seed": dict(type=int, default=None, metavar="U64",
                        help="default seed for rand: specs without seed="),
-        "--precision": dict(type=int, default=RunConfig.precision, metavar="D",
+        "--precision": dict(type=int, default=run["precision"], metavar="D",
                             help=f"text decimals, 0..{MAX_PRECISION} (default %(default)s)"),
     }
     for name in names:
@@ -114,7 +115,7 @@ def _run_config(args, bounds=DEFAULT_BOUNDS) -> RunConfig:
     oracle_limit = flags.get("oracle_limit")
     if oracle_limit is not None and oracle_limit < 1:
         raise GraphSpecError("oracle limit must be at least 1")
-    precision = flags.get("precision", RunConfig.precision)
+    precision = flags.get("precision", RunConfig._field_defaults["precision"])
     if precision < 0:
         raise GraphSpecError("--precision must be at least 0")
     if precision > MAX_PRECISION:
@@ -130,7 +131,7 @@ def _run_config(args, bounds=DEFAULT_BOUNDS) -> RunConfig:
     return RunConfig(
         sources=tuple(flags.get("sources", ())) or (flags.get("source", ""),),
         bounds=bounds,
-        fmt=flags.get("fmt", RunConfig.fmt),
+        fmt=flags.get("fmt", RunConfig._field_defaults["fmt"]),
         precision=precision,
         seed=flags.get("seed"),
         catalog=CatalogOptions(oracle_limit=oracle_limit, search=search),

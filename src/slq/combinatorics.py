@@ -29,7 +29,6 @@ all its edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
@@ -110,11 +109,11 @@ def _max_independent_set(nv: int, adj, cand: Optional[int] = None, incumbent: in
     return best, found
 
 
-@dataclass(eq=False)
 class OracleRecord:
     """What the oracles share on one graph, each part made on first use."""
 
-    graph: Graph
+    def __init__(self, graph: Graph):
+        self.graph = graph
 
     @cached_property
     def masks(self) -> list:

@@ -18,8 +18,8 @@ earlier step targeted p).  Pointer jumping resolves these links.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class EdgeListError(GraphError):
     """Malformed edge-list text."""
 
 
-@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable simple graph.  Build through :func:`build_graph`.
 
@@ -60,9 +59,15 @@ class Graph:
     neighbours of each vertex and ``components`` the number of components,
     each made on first use (a seeded random graph is built with 1)."""
 
-    n: int
-    edge_array: np.ndarray
-    degrees: np.ndarray
+    def __init__(self, n: int, edge_array: np.ndarray, degrees: np.ndarray):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "edge_array", edge_array)
+        object.__setattr__(self, "degrees", degrees)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot set or delete {name!r}: a Graph is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def m(self) -> int:
@@ -252,7 +257,7 @@ def generate_regular_circulant(n: int, k: int) -> Graph:
 
 # the random graphs of one batch hold at most this many edges together, so
 # its transient arrays (about 50 bytes per edge) stay small beside them
-_BATCH_EDGES = 1024
+_BATCH_EDGES = 2048
 
 
 def _prufer_decode(n: int, seq: list, degree: list, ends: list) -> None:
@@ -436,8 +441,7 @@ def generate_random_connected(n: int, m: int, seed: int) -> Graph:
 # invariants and traversal
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(NamedTuple):
     """What the degree sequence alone determines: delta, Delta and M1."""
 
     delta: int
@@ -528,10 +532,11 @@ def read_edge_list(text: str) -> Graph:
         edges.append((u, v))
     if n is None:
         raise EdgeListError("empty input: expected a vertex count line")
-    g = build_graph(n, edges, allow_isolated=True)
-    if not g.degrees.all():
-        raise EdgeListError(f"vertex {g.degrees.argmin()} is on no edge of the file")
-    return g
+    covered = {v for edge in edges for v in edge}
+    if len(covered) < n < 2**63:  # refused before n degrees are allocated
+        k = next(v for v in range(n) if v not in covered)
+        raise EdgeListError(f"vertex {k} is on no edge of the file")
+    return build_graph(n, edges, allow_isolated=True)
 
 
 def write_edge_list(g: Graph) -> str:

@@ -9,8 +9,7 @@ gradient ascent heuristic eta that maximizes f over the sphere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -120,15 +119,19 @@ def numerical_grad_f_squared(w, x, h: float = 1e-6) -> np.ndarray:
     return g
 
 
-@dataclass(frozen=True)
-class SearchConfig:
-    """Projected gradient ascent settings."""
-
+class _SearchFields(NamedTuple):
     iterations: int = 10
     step: float = 0.1
     step_mode: str = "constant"
 
-    def __post_init__(self):
+
+class SearchConfig(_SearchFields):
+    """Projected gradient ascent settings, checked when made."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
         step = float(self.step)
@@ -142,10 +145,14 @@ class SearchConfig:
             raise ValueError("step must be below 9.48e153, where its squared norm overflows")
         if self.step_mode not in ("constant", "decreasing"):
             raise ValueError("step_mode must be 'constant' or 'decreasing'")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):  # so that _replace checks too
+        return cls(*iterable)
 
 
-@dataclass(frozen=True, eq=False)
-class SearchTrace:
+class SearchTrace(NamedTuple):
     """Full record of one gradient search run."""
 
     initial_value: float
@@ -155,6 +162,7 @@ class SearchTrace:
     iteration_of_best: int
     perturbed: bool
     stagnated_at: Optional[int]
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__  # an array field
 
     @property
     def first_step_value(self) -> float:

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .bounds import CATALOG_BY_NAME, CatalogOptions, GraphData, evaluate_catalog
 from .combinatorics import (
@@ -115,8 +114,7 @@ def parse_graph_spec(spec: str, default_seed: Optional[int] = None):
     raise GraphSpecError(f"unknown graph spec kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything a table run depends on; equal configs render identical bytes."""
 
     sources: tuple
@@ -124,11 +122,10 @@ class RunConfig:
     fmt: str = "text"
     precision: int = 2
     seed: Optional[int] = None
-    catalog: CatalogOptions = field(default_factory=CatalogOptions)
+    catalog: CatalogOptions = CatalogOptions()
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
+class ExperimentRow(NamedTuple):
     """One graph's evaluated bounds next to the exact spread."""
 
     label: str

@@ -10,8 +10,8 @@ matrix's extreme eigenvalues, and the three spread invariants s
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -142,12 +142,12 @@ def line_graph(g: Graph) -> Graph:
     return build_graph(g.m, pairs, allow_isolated=True)
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(NamedTuple):
     """Eigenvalues in descending order plus the certified residual bound."""
 
     values: np.ndarray
     residual_tol: float
+    __eq__, __ne__, __hash__ = object.__eq__, object.__ne__, object.__hash__  # an array field
 
 
 def eigenvalues(w: np.ndarray) -> Spectrum:
@@ -212,8 +212,7 @@ def _up(x):
     return np.nextafter(x, np.inf)
 
 
-@dataclass(frozen=True, eq=False)
-class Extremes:
+class Extremes(NamedTuple):
     """Top and bottom eigenvalue of a graph matrix, each with an enclosure
     (lo, hi) of the exact value: proved when the values come from Lanczos
     (the top of A and Q by a Collatz-Wielandt bound, or by a Cholesky test
@@ -585,8 +584,7 @@ def _schur_complement(w: GraphMatrix, sign: float, kept, position, runs, lengths
     return [piece.reshape(-1, r - i) for i, piece in zip(starts, pieces)]
 
 
-@dataclass(frozen=True, eq=False)
-class SpreadReport:
+class SpreadReport(NamedTuple):
     """The three spreads and the extreme eigenvalues they come from."""
 
     s: float

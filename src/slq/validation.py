@@ -12,9 +12,8 @@ subcommand and the test suite both run through this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -68,8 +67,7 @@ def printed_form_excluded(name: str, data: GraphData) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class CellViolation:
+class CellViolation(NamedTuple):
     """One bound value on one graph on the wrong side of the exact spread;
     excluded cells are logged rather than failed."""
 
@@ -220,18 +218,16 @@ def random_unit_vector(n: int, rng: SplitMix64) -> np.ndarray:
 # report types
 
 
-@dataclass
 class ValidationReport:
     """Aggregated results of a validation run."""
 
-    graphs_checked: int = 0
-    cells_checked: int = 0
-    inapplicable_cells: int = 0
-    failures: list = field(default_factory=list)  # unexcluded CellViolations
-    logged: list = field(default_factory=list)  # excluded CellViolations
-    fixture_failures: list = field(default_factory=list)
-    identity_failures: list = field(default_factory=list)
-    gradient_failures: list = field(default_factory=list)
+    def __init__(self):
+        self.graphs_checked = self.cells_checked = self.inapplicable_cells = 0
+        self.failures = []  # unexcluded CellViolations
+        self.logged = []  # excluded CellViolations
+        self.fixture_failures = []
+        self.identity_failures = []
+        self.gradient_failures = []
 
     @property
     def ok(self) -> bool:

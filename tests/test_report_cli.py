@@ -351,6 +351,17 @@ class TestCliMain:
         assert captured.out == "" and "vertex 3 is on no edge of the file" in captured.err
         assert "allow_isolated" not in captured.err
 
+    def test_file_sparse_vertex_count_exits_2(self, capsys, tmp_path):
+        # 2^40 vertices over one edge: refused before 8 TiB of degrees are allocated
+        path = tmp_path / "sparse.edges"
+        path.write_text("1099511627776\n0 1\n")
+        assert main(["table", f"file:{path}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: bad graph spec 'file:{path}': vertex 2 is on no edge of the file\n"
+        )
+
     def test_file_not_utf8_exits_2(self, capsys, tmp_path):
         path = tmp_path / "latin1.edges"
         path.write_bytes(b"3\n0 1\n1 2 # caf\xe9\n")
