@@ -26,8 +26,10 @@ PRINTED_ROWS = (
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=1, help="seed for the random rows")
-    parser.add_argument("--iters", type=int, default=10, help="eta search iterations")
-    parser.add_argument("--step", type=float, default=0.1, help="eta search step size")
+    search = SearchConfig._field_defaults
+    parser.add_argument("--iters", type=int, default=search["iterations"],
+                        help="eta search iterations")
+    parser.add_argument("--step", type=float, default=search["step"], help="eta search step size")
     parser.add_argument("--format", choices=("text", "csv"), default="text", dest="fmt")
     parser.add_argument("--extra", nargs="*", default=[], metavar="GRAPH",
                         help="additional graph specs to append to the table")

@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from slq import eigenvalues, generate_random_connected, signless_laplacian_matrix
+from slq import GraphData, generate_random_connected
 from slq.minmax import SearchConfig, gradient_search
 
 
@@ -21,8 +21,9 @@ def main() -> int:
     parser.add_argument("--graphs", type=int, default=20, help="number of graphs")
     parser.add_argument("--m-start", type=int, default=100, help="edges of the first graph")
     parser.add_argument("--m-step", type=int, default=17, help="edge increment per graph")
-    parser.add_argument("--iters", type=int, default=10, help="search iterations")
-    parser.add_argument("--step", type=float, default=0.1, help="step size")
+    search = SearchConfig._field_defaults
+    parser.add_argument("--iters", type=int, default=search["iterations"], help="search iterations")
+    parser.add_argument("--step", type=float, default=search["step"], help="step size")
     parser.add_argument("--seed", type=int, default=600000, help="seed of the first graph")
     args = parser.parse_args()
 
@@ -32,13 +33,12 @@ def main() -> int:
     for j in range(args.graphs):
         m = args.m_start + args.m_step * j
         g = generate_random_connected(args.n, m, seed=args.seed + j)
-        q = signless_laplacian_matrix(g)
-        vals = eigenvalues(q).values
-        s_q = float(vals[0] - vals[-1])
+        data = GraphData(g)
+        s_q = data.s_q
         row = [f"n={args.n},#{j:<3}  {m:<4} {s_q:7.3f} "]
         for mode in schedules:
             cfg = SearchConfig(iterations=args.iters, step=args.step, step_mode=mode)
-            ratio = gradient_search(q, cfg).best_value / s_q
+            ratio = gradient_search(data.q.operand, cfg).best_value / s_q
             ratios[mode].append(ratio)
             row.append(f"  {ratio:13.4f}")
         print("".join(row))

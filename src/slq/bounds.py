@@ -239,7 +239,8 @@ def lb_path_universal(data: GraphData) -> float:
 
 def lb_ncon(data: GraphData) -> float:
     """All-ones vector bound (4/n) sqrt(n M1 - 4m^2) (reported as Ncon)."""
-    return minmax.ncon_value(data.graph.n, data.graph.m, data.profile.m1)
+    n, m = data.graph.n, data.graph.m
+    return 4.0 / n * np.sqrt(max(n * data.profile.m1 - 4 * m * m, 0))
 
 
 def lb_degree_vector(data: GraphData) -> float:

@@ -129,7 +129,7 @@ def _run_config(args, bounds=DEFAULT_BOUNDS) -> RunConfig:
         except ValueError as exc:
             raise GraphSpecError(str(exc)) from None
     return RunConfig(
-        sources=tuple(flags.get("sources", ())) or (flags.get("source", ""),),
+        sources=tuple(flags.get("sources", ())),
         bounds=bounds,
         fmt=flags.get("fmt", RunConfig._field_defaults["fmt"]),
         precision=precision,
@@ -139,14 +139,13 @@ def _run_config(args, bounds=DEFAULT_BOUNDS) -> RunConfig:
 
 
 def _cmd_table(args) -> int:
-    if args.bounds is None:
-        bounds = DEFAULT_BOUNDS
-    elif args.bounds.strip() == "all":
-        bounds = "all"
-    else:
+    bounds = DEFAULT_BOUNDS
+    if args.bounds is not None:
         bounds = tuple(x.strip() for x in args.bounds.split(",") if x.strip())
         if not bounds:
             raise GraphSpecError("--bounds got an empty list")
+        if bounds == ("all",):
+            bounds = "all"
     config = _run_config(args, bounds=bounds)
     text, code = run_table(config)
     sys.stdout.write(text)
@@ -203,6 +202,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (GraphSpecError, GraphError, EigensolverError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's refused allocations subclass it
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

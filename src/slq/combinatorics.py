@@ -144,6 +144,13 @@ def _record(g) -> OracleRecord:
     return g if isinstance(g, OracleRecord) else OracleRecord(g)
 
 
+def _check_limit(what: str, n: int, limit: Optional[int], default: int):
+    """Refuse n above the limit, which is ``default`` when limit is None."""
+    limit = default if limit is None else limit
+    if n > limit:
+        raise OracleLimitError(what, n, limit)
+
+
 def _prism_independent_set(record: OracleRecord):
     """A maximum independent set of G □ K2, as (size, mask of the doubled
     ranks).  S on copy 0 and a maximum independent set of G - S on copy 1
@@ -166,9 +173,7 @@ def _prism_independent_set(record: OracleRecord):
 def independence_number(g, limit: Optional[int] = None) -> int:
     """Maximum independent set size of a Graph or OracleRecord."""
     record = _record(g)
-    limit = ALPHA_LIMIT if limit is None else limit
-    if record.graph.n > limit:
-        raise OracleLimitError("independence number", record.graph.n, limit)
+    _check_limit("independence number", record.graph.n, limit, ALPHA_LIMIT)
     return record.alpha[0]
 
 
@@ -179,9 +184,7 @@ def vertex_bipartiteness(g, limit: Optional[int] = None) -> int:
     if record.bipartite:
         return 0
     n = record.graph.n
-    limit = VB_LIMIT if limit is None else limit
-    if n > limit:
-        raise OracleLimitError("vertex bipartiteness", n, limit)
+    _check_limit("vertex bipartiteness", n, limit, VB_LIMIT)
     return n - _prism_independent_set(record)[0]
 
 
@@ -201,9 +204,7 @@ def max_cut(g, limit: Optional[int] = None) -> int:
     """
     record = _record(g)
     g = record.graph
-    limit = EB_LIMIT if limit is None else limit
-    if g.n > limit:
-        raise OracleLimitError("max cut", g.n, limit)
+    _check_limit("max cut", g.n, limit, EB_LIMIT)
     if g.m == 0:
         return 0
     if record.bipartite:

@@ -350,7 +350,7 @@ def _random_connected(specs) -> list:
     k = np.arange(sum(ms) - len(ms)) - spread(before(draws) + n - 2, draws)
     shuffled = k >= 0
     bounds = np.where(shuffled, spread(size, draws) - k, spread(n, draws))
-    values = below_streams([seed for _, _, seed in specs], [c - 1 for c in ms], bounds)[0]
+    values = below_streams([seed for _, _, seed in specs], [c - 1 for c in ms], bounds)
     values = values.view(np.int64)  # every bound is below 2^63
     seqs = values[~shuffled]
     degree = (np.bincount(seqs + spread(first, n - 2), minlength=sum(ns)) + 1).tolist()

@@ -102,8 +102,9 @@ def _tangent_step(w, x, wx, xwx, step: float):
     return x, wx, x @ wx
 
 
-def numerical_grad_f_squared(w, x, h: float = 1e-6) -> np.ndarray:
-    """Central finite differences of the ambient f^2, for cross-checking."""
+def numerical_grad_f_squared(w, x) -> np.ndarray:
+    """Central finite differences, step h = 1e-6, of the ambient f^2."""
+    h = 1e-6
     w = _as_matrix(w)
     x = np.asarray(x, dtype=np.float64)
 
@@ -234,13 +235,3 @@ def gradient_search(w, config: Optional[SearchConfig] = None) -> SearchTrace:
         perturbed=perturbed,
         stagnated_at=stagnated_at,
     )
-
-
-# ---------------------------------------------------------------------------
-# particular start vectors
-
-
-def ncon_value(n: int, m: int, m1: int) -> float:
-    """All-ones vector bound in closed form: (4/n) sqrt(n M1 - 4 m^2)."""
-    return 4.0 / n * np.sqrt(max(n * m1 - 4 * m * m, 0))
-

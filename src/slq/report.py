@@ -140,10 +140,8 @@ class ExperimentRow(NamedTuple):
 
 
 def resolve_bounds(selection) -> tuple:
-    """Expand a bounds selection ('all', a name list, or None) into column order."""
-    if selection is None:
-        names = list(DEFAULT_BOUNDS)
-    elif selection == "all" or selection == ("all",):
+    """Expand a bounds selection ('all' or a name tuple) into column order."""
+    if selection == "all":
         names = sorted(CATALOG_BY_NAME)
     else:
         names = list(selection)

@@ -75,14 +75,13 @@ def splitmix64_stream(seed: int, count: int) -> np.ndarray:
     return _mix(z + np.uint64(seed & MASK64))
 
 
-def below_streams(seeds, counts, bounds) -> tuple:
+def below_streams(seeds, counts, bounds) -> np.ndarray:
     """``[SplitMix64(s).below(b) for b in its bounds]`` for many streams at
     once.  Stream i has seed ``seeds[i]`` and the next ``counts[i]`` entries
     of ``bounds``, each in [1, 2^64).  Every draw is computed from its
     stream position in one pass; a stream with a rejected draw continues
     with ``below`` from its first rejection.  Returns the values as one
-    uint64 array in the order of ``bounds``, and the final state of each
-    stream as a list of ints."""
+    uint64 array in the order of ``bounds``."""
     counts = np.asarray(counts, dtype=np.int64)
     bounds = np.asarray(bounds, dtype=np.uint64)
     if (bounds == 0).any():
@@ -97,7 +96,6 @@ def below_streams(seeds, counts, bounds) -> tuple:
     u *= np.uint64(_WEYL)
     u = _mix(np.add(u, np.array(origins, dtype=np.uint64).repeat(counts), out=u))
     values = u % bounds
-    states = [(o + e * _WEYL) & MASK64 for o, e in zip(origins, ends.tolist())]
     # below() rejects u >= 2^64 - (2^64 mod b), which implies u >= 2^64 - b
     stop = 0
     for r in np.flatnonzero(u >= np.uint64(0) - bounds).tolist():
@@ -108,5 +106,4 @@ def below_streams(seeds, counts, bounds) -> tuple:
         rng = SplitMix64(origins[stream] + r * _WEYL)
         stop = int(ends[stream])
         values[r:stop] = np.array([rng.below(b) for b in bounds[r:stop].tolist()], dtype=np.uint64)
-        states[stream] = rng.state
-    return values, states
+    return values

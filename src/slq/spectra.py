@@ -134,12 +134,20 @@ def line_graph(g: Graph) -> Graph:
     ends = g.edge_array.ravel()
     order = np.argsort(ends)
     incident = order // 2
-    # pair each entry with every later entry of its run
-    later = np.cumsum(g.degrees)[ends[order]] - np.arange(2 * g.m) - 1
-    first = np.repeat(np.arange(2 * g.m), later)
-    offset = np.arange(len(first)) - np.repeat(np.cumsum(later) - later, later) + 1
-    pairs = np.stack((incident[first], incident[first + offset]), axis=1)
+    first, second = _run_pairs(np.cumsum(g.degrees)[ends[order]])
+    pairs = np.stack((incident[first], incident[second]), axis=1)
     return build_graph(g.m, pairs, allow_isolated=True)
+
+
+def _run_pairs(stops: np.ndarray):
+    """Pair each entry of a sequence of runs with every later entry of its
+    run, given where each entry's run stops (one past its last entry):
+    index arrays (first, second), ascending by first, then second."""
+    entries = np.arange(len(stops))
+    later = stops - entries - 1
+    first = np.repeat(entries, later)
+    second = first + 1 + np.arange(len(first)) - np.repeat(later.cumsum() - later, later)
+    return first, second
 
 
 class Spectrum(NamedTuple):
@@ -572,11 +580,8 @@ def _schur_complement(w: GraphMatrix, sign: float, kept, position, runs, lengths
     u, v = w.graph.edge_array.T
     inner = kept[u] & kept[v]
     flat[head[position[u[inner]]] + position[v[inner]]] = sign * (w.off + w.fill)
-    # pair each run entry with every later entry of its run; runs ascend
-    entries = np.arange(len(runs))
-    later = np.repeat(lengths.cumsum(), lengths) - entries - 1
-    first = np.repeat(entries, later)
-    second = first + 1 + np.arange(len(first)) - np.repeat(later.cumsum() - later, later)
+    # each pair of distinct entries of a run; runs ascend
+    first, second = _run_pairs(np.repeat(lengths.cumsum(), lengths))
     rows = position[runs]
     np.subtract.at(flat, head[rows[first]] + rows[second], inverse[first])
     starts = range(0, r, _CHOLESKY_BLOCK)
@@ -591,7 +596,6 @@ class SpreadReport(NamedTuple):
     s_l: float
     s_q: float
     lambda1: float
-    lambda_n: float
     mu1: float
     algebraic_connectivity: float
     q1: float
@@ -612,7 +616,6 @@ def spread_report(g: Graph) -> SpreadReport:
         s_l=mu.top - mu.bottom,
         s_q=q.top - q.bottom,
         lambda1=a.top,
-        lambda_n=a.bottom,
         mu1=mu.top,
         algebraic_connectivity=mu.bottom,
         q1=q.top,

@@ -155,15 +155,15 @@ def _random_graphs(count: int, seed: int, min_n: int, max_n: int, cap) -> list:
     ]
 
 
-def random_corpus(count: int = 420, max_n: int = 60, seed: int = 20240817):
-    """Seeded random connected graphs, n in 5..max_n.
+def random_corpus(count: int = 420, seed: int = 20240817):
+    """Seeded random connected graphs, n in 5..60.
 
     Members small enough for the vertex-bipartiteness oracle (n <= 20) are
     kept sparse (m <= n + 5) so the exhaustive oracle stays fast; larger
     members draw any edge count up to 3n.
     """
     return _random_graphs(
-        count, seed, 5, max_n, lambda n: min(n * (n - 1) // 2, n + 5 if n <= 20 else 3 * n)
+        count, seed, 5, 60, lambda n: min(n * (n - 1) // 2, n + 5 if n <= 20 else 3 * n)
     )
 
 
@@ -173,9 +173,9 @@ def standard_corpus():
     return tuple(named_corpus(12) + random_corpus())
 
 
-def small_connected_sample(count: int = 200, seed: int = 77001, max_n: int = 8):
-    """Seeded random connected graphs small enough for every oracle."""
-    return _random_graphs(count, seed, 3, max_n, lambda n: n * (n - 1) // 2)
+def small_connected_sample(count: int = 200, seed: int = 77001):
+    """Seeded random connected graphs, n in 3..8, in reach of every oracle."""
+    return _random_graphs(count, seed, 3, 8, lambda n: n * (n - 1) // 2)
 
 
 def random_connected_bipartites(specs) -> list:
@@ -318,16 +318,12 @@ def check_equality_fixtures(report: Optional[ValidationReport] = None) -> Valida
 # exact matrix identities
 
 
-def check_identities(
-    sample=None, report: Optional[ValidationReport] = None
-) -> ValidationReport:
+def check_identities(report: Optional[ValidationReport] = None) -> ValidationReport:
     """Incidence factorizations (exact integer) and the line-graph
     eigenvalue shift q_i = 2 + lambda_i(line graph) for i <= min(m, n)."""
     rep = report if report is not None else ValidationReport()
-    if sample is None:
-        sample = small_connected_sample(count=100, seed=31001)
     rng = SplitMix64(460001)
-    for idx, (label, g) in enumerate(sample):
+    for idx, (label, g) in enumerate(small_connected_sample(count=100, seed=31001)):
         inc = incidence_matrix(g)
         q_int = inc @ inc.T
         q = signless_laplacian_matrix(g)
@@ -357,16 +353,12 @@ def check_identities(
 # gradient checks
 
 
-def check_gradients(
-    sample=None, report: Optional[ValidationReport] = None
-) -> ValidationReport:
+def check_gradients(report: Optional[ValidationReport] = None) -> ValidationReport:
     """Analytic gradient vs central differences, and search-trace validity
     (no trace value may exceed the exact spread)."""
     rep = report if report is not None else ValidationReport()
-    if sample is None:
-        sample = small_connected_sample(count=50, seed=52001)
     rng = SplitMix64(530001)
-    for label, g in sample:
+    for label, g in small_connected_sample(count=50, seed=52001):
         data = GraphData(g)
         q = data.q.dense
         x = random_unit_vector(g.n, rng)

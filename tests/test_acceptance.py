@@ -204,7 +204,7 @@ def test_criterion_3_sandwich_suite():
 
 def test_criterion_4_oracle_chain():
     title = "q_n <= vb <= eb <= (n-alpha)(n-alpha-1)/2 on 200 small graphs"
-    sample = small_connected_sample(count=200, seed=77001, max_n=8)
+    sample = small_connected_sample(count=200, seed=77001)
     start = time.perf_counter()
     bad = []
     for label, g in sample:

@@ -564,12 +564,11 @@ class TestSplitMix64:
         seeds = (0, 1, 99, 2**64 - 1, 7, 7, 7, 7)
         counts = (len(bounds),) * 4 + (0, 1, 23, 24)
         flat = [b for count in counts for b in bounds[:count]]
-        values, states = below_streams(seeds, counts, flat)
+        values = below_streams(seeds, counts, flat)
         at = 0
-        for seed, count, state in zip(seeds, counts, states):
+        for seed, count in zip(seeds, counts):
             scalar = SplitMix64(seed)
             assert values[at : at + count].tolist() == [scalar.below(b) for b in bounds[:count]]
-            assert state == scalar.state
             at += count
         assert values.dtype == np.uint64 and at == len(values)
         for bad in ([3, 0], [3] * 40 + [0]):

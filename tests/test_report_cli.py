@@ -130,7 +130,7 @@ class TestParseGraphSpec:
 
 class TestResolveBounds:
     def test_default_selection(self):
-        assert resolve_bounds(None) == DEFAULT_BOUNDS
+        assert resolve_bounds(DEFAULT_BOUNDS) == DEFAULT_BOUNDS
 
     def test_paper_columns_lead_in_fixed_order(self):
         assert resolve_bounds(("eta", "meg2", "global_2n4")) == (
@@ -532,6 +532,21 @@ class TestCliMain:
         assert captured.out == ""
         assert captured.err.startswith("error: residual ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["table", "spectrum"])
+    def test_refused_allocation_exits_2(self, capsys, monkeypatch, command):
+        # the builder refuses as numpy does, without allocating anything
+        import slq.report as report_mod
+
+        def refuse(n, m, seed):
+            raise MemoryError("Unable to allocate 2.24 GiB for an array")
+
+        monkeypatch.setattr(report_mod, "generate_random_connected", refuse)
+        assert main([command, "rand:n=300000000,m=299999999,seed=1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: out of memory: Unable to allocate 2.24 GiB for an array\n"
+        assert "Traceback" not in captured.err
 
     def test_cli_byte_determinism(self, capsys):
         args = ["table", "rand:n=10,m=20,seed=7", "--bounds", "all", "--format", "csv"]
