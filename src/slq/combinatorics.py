@@ -23,12 +23,15 @@ G - S on copy 1, and is skipped when that meets the bound 2 alpha(G); the
 values are those of a search from nothing.  Swapping the two copies is an
 automorphism of G □ K2, so some maximum independent set avoids copy 1 of
 the lowest-degree vertex, and the search starts without it.  Max cut
-tabulates all bipartitions, in place, by doubling; a bipartite graph cuts
-all its edges.
+tabulates, in place by doubling, only the 2^(n - alpha - 1) bipartitions
+of the vertices outside S, one of them pinned; each vertex of S then takes
+its better side on its own, which is exact because S has no inner edges.
+A bipartite graph cuts all its edges.
 """
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from typing import Optional
 
@@ -188,57 +191,74 @@ def vertex_bipartiteness(g, limit: Optional[int] = None) -> int:
     return n - _prism_independent_set(record)[0]
 
 
-def max_cut(g, limit: Optional[int] = None) -> int:
-    """Maximum cut size of a Graph or OracleRecord over all 2^(n-1)
-    bipartitions (vertex n-1 of the degree order pinned to side 0).
-    Bipartite inputs short-circuit to m.
+def _side_counts(out, mask: int, masks, split: int):
+    """out[j] = the bits of mask set in j, for every j < len(out), a power
+    of two; summed over the high and the low ``split`` bits of j, since one
+    bit count per entry of a uint32 array costs several byte passes.
+    ``masks`` holds 0 .. 2^split - 1."""
+    width = 1 << split
+    if len(out) <= width:
+        np.bitwise_count(masks[: len(out)] & mask, out=out)
+    else:
+        rows = len(out) >> split
+        high = np.bitwise_count(masks[:rows] & (mask >> split))
+        low = np.bitwise_count(masks & (mask & (width - 1)))
+        np.add(high[:, None], low, out=out.reshape(rows, width))
+
+
+def _gather(masks, order, n: int) -> list:
+    """Each mask with bit order[i] moved to bit i and the bits outside
+    order dropped: its n binary digits picked in order."""
+    pick = operator.itemgetter(*(n - 1 - r for r in reversed(order)))
+    return [int("".join(pick(format(mask, f"0{n}b"))), 2) for mask in masks]
+
+
+def _max_cut(record: OracleRecord):
+    """A maximum cut of a graph that is not bipartite, as (size, mask of
+    the ranks on side 1).
+
+    S, the maximum independent set of ``record.alpha``, has no inner
+    edges, so once the other t = n - alpha vertices T have sides, each s in
+    S takes its better side on its own and cuts max(c_s, d_s - c_s) edges,
+    c_s its neighbours on side 1.  Only the bipartitions of T are
+    tabulated, the last vertex of T pinned to side 0: 2^(t-1) entries.
 
     Doubling builds the cut value of every bipartition of the first
-    ``head`` = min(n - 1, 20) vertices in one table, in place: vertex k
-    joins side 0 in the lower half and side 1 in the upper half, and cuts
-    its earlier neighbours on the other side.  The other vertices (at most
-    three free vertices at EB_LIMIT, plus the pinned vertex n-1) are fixed
-    once per block of 2^head bipartitions, and vertex k adds its edges to
-    the fixed vertices on the other side to the constant of its half, so
-    no array exceeds 2^20 entries.
+    ``head`` = min(t - 1, 20) vertices of T in one table, in place: vertex
+    k joins side 0 in the lower half and side 1 in the upper half, and cuts
+    its earlier neighbours on the other side.  The other vertices of T (the
+    free ones past 20, plus the pinned one) are fixed once per block of
+    2^head bipartitions, and vertex k adds its edges to the fixed vertices
+    on the other side to the constant of its half, so no array exceeds 2^20
+    entries.  Each s in S then adds its best to every entry.
     """
-    record = _record(g)
-    g = record.graph
-    _check_limit("max cut", g.n, limit, EB_LIMIT)
-    if g.m == 0:
-        return 0
-    if record.bipartite:
-        return g.m
-    n = g.n
-    adj = record.masks
-    head = min(n - 1, 20)
-    fixed = ((1 << n) - 1) ^ ((1 << head) - 1)
+    n, m = record.graph.n, record.graph.m
+    _, s = record.alpha
+    inside = [r for r in range(n) if s >> r & 1]
+    order = [r for r in range(n) if not s >> r & 1]
+    t = len(order)
+    # the masks of T and S over the positions in order
+    adj = _gather([record.masks[r] for r in order], order, n)
+    outer = _gather([record.masks[r] for r in inside], order, n)
+    head = min(t - 1, 20)
+    fixed = ((1 << t) - 1) ^ ((1 << head) - 1)
     # cut <= m, so one byte per entry does below m = 256
-    table = np.empty(1 << head, dtype=np.uint8 if g.m < 256 else np.uint16)
-    # count[j]: the earlier neighbours of vertex k on side 1 in bipartition
-    # j, summed over the high and the low `split` bits of j; one bit count
-    # per entry of a 2^19 uint32 array costs several of these byte passes
+    table = np.empty(1 << head, dtype=np.uint8 if m < 256 else np.uint16)
     split = min(head - 1, 10)
-    width = 1 << split
-    masks = np.arange(width, dtype=np.uint16)
+    masks = np.arange(1 << split, dtype=np.uint16)
     count = np.empty(1 << (head - 1), dtype=np.uint8)
-    best = 0
-    # ones: the fixed vertices on side 1, as a bitmask without vertex n-1
-    for ones in range(0, 1 << (n - 1), 1 << head):
+    spare = np.empty_like(count)
+    best = found = 0
+    # ones: the fixed vertices on side 1, as a bitmask without vertex t-1
+    for ones in range(0, 1 << (t - 1), 1 << head):
         zeros = fixed & ~ones
         # the edges from fixed vertices on side 1 to those on side 0
-        table[0] = sum((adj[w] & zeros).bit_count() for w in range(head, n) if ones >> w & 1)
+        table[0] = sum((adj[w] & zeros).bit_count() for w in range(head, t) if ones >> w & 1)
         for k in range(head):
             half = 1 << k
             earlier = adj[k] & (half - 1)
             lower, upper, side1 = table[:half], table[half : 2 * half], count[:half]
-            if k <= split:
-                np.bitwise_count(masks[:half] & earlier, out=side1)
-            else:
-                rows = half >> split
-                high = np.bitwise_count(masks[:rows] & (earlier >> split))
-                low = np.bitwise_count(masks & (earlier & (width - 1)))
-                np.add(high[:, None], low, out=side1.reshape(rows, width))
+            _side_counts(side1, earlier, masks, split)
             # on side 1, vertex k cuts its earlier and fixed neighbours on
             # side 0; on side 0, those on side 1
             np.subtract(earlier.bit_count() + (adj[k] & zeros).bit_count(), side1, out=upper)
@@ -247,8 +267,48 @@ def max_cut(g, limit: Optional[int] = None) -> int:
             fixed1 = (adj[k] & ones).bit_count()
             if fixed1:
                 lower += fixed1
-        best = max(best, int(table.max()))
-    return best
+        # each s in S adds max(c_s, d_s - c_s): c_s over the lower half of
+        # the table first, where vertex head - 1 is on side 0; the upper half
+        # differs only where s is its neighbour
+        lower, upper = table[: len(count)], table[len(count) :]
+        for a in outer:
+            _side_counts(count, a & (len(count) - 1), masks, split)
+            fixed1 = (a & ones).bit_count()
+            if fixed1:
+                count += fixed1
+            np.subtract(a.bit_count(), count, out=spare)
+            np.maximum(count, spare, out=spare)
+            lower += spare
+            if a >> (head - 1) & 1:
+                count += 1
+                np.subtract(a.bit_count(), count, out=spare)
+                np.maximum(count, spare, out=spare)
+            upper += spare
+        j = int(table.argmax())
+        if table[j] > best:
+            best, found = int(table[j]), ones | j
+    side1 = sum(1 << r for i, r in enumerate(order) if found >> i & 1)
+    for a, r in zip(outer, inside):
+        c = (a & found).bit_count()
+        if a.bit_count() - c > c:
+            side1 |= 1 << r
+    return best, side1
+
+
+def max_cut(g, limit: Optional[int] = None) -> int:
+    """Maximum cut size of a Graph or OracleRecord.  Bipartite inputs
+    short-circuit to m; otherwise ``_max_cut`` tabulates the 2^(n-alpha-1)
+    bipartitions of the vertices outside a maximum independent set S, and
+    each vertex of S adds its better side.  That is exact because S has no
+    inner edges: the side of one s changes the cut of no other."""
+    record = _record(g)
+    g = record.graph
+    _check_limit("max cut", g.n, limit, EB_LIMIT)
+    if g.m == 0:
+        return 0
+    if record.bipartite:
+        return g.m
+    return _max_cut(record)[0]
 
 
 def edge_bipartiteness(g, limit: Optional[int] = None) -> int:

@@ -570,7 +570,9 @@ def _schur_complement(w: GraphMatrix, sign: float, kept, position, runs, lengths
     overwrites: its upper trapezoid in the blocks of ``_cholesky_completes``,
     views of one new array.  Each eliminated vertex, in ascending order,
     subtracts its rh_s (``inverse``, one per run entry) from the entry of
-    each pair of distinct entries of its run in ``runs``."""
+    each pair of distinct entries of its run in ``runs``, _CHOLESKY_BLOCK
+    runs at a time: the same subtractions in the same order as all at once,
+    without index arrays over every pair."""
     r = int(position[-1]) + 1
     # row i is stored from its block's first column on: entry (i, j) is at head[i] + j
     skip = np.arange(r) // _CHOLESKY_BLOCK * _CHOLESKY_BLOCK
@@ -581,9 +583,14 @@ def _schur_complement(w: GraphMatrix, sign: float, kept, position, runs, lengths
     inner = kept[u] & kept[v]
     flat[head[position[u[inner]]] + position[v[inner]]] = sign * (w.off + w.fill)
     # each pair of distinct entries of a run; runs ascend
-    first, second = _run_pairs(np.repeat(lengths.cumsum(), lengths))
     rows = position[runs]
-    np.subtract.at(flat, head[rows[first]] + rows[second], inverse[first])
+    stops = lengths.cumsum()
+    for a in range(0, len(lengths), _CHOLESKY_BLOCK):
+        ends, sizes = stops[a:a + _CHOLESKY_BLOCK], lengths[a:a + _CHOLESKY_BLOCK]
+        lo = ends[0] - sizes[0]
+        first, second = _run_pairs(np.repeat(ends - lo, sizes))
+        chunk = rows[lo:ends[-1]]
+        np.subtract.at(flat, head[chunk[first]] + chunk[second], inverse[lo:][first])
     starts = range(0, r, _CHOLESKY_BLOCK)
     pieces = np.split(flat, head[starts[1:]] + starts[1:])
     return [piece.reshape(-1, r - i) for i, piece in zip(starts, pieces)]

@@ -24,8 +24,10 @@ from slq.combinatorics import (
     OracleRecord,
     _adjacency_masks,
     _max_independent_set,
+    _max_cut,
     _prism_independent_set,
 )
+from slq.cli import main
 from slq.report import parse_graph_spec
 from slq.validation import small_connected_sample, standard_corpus
 
@@ -193,13 +195,29 @@ def relabelled(g, seed: int):
 
 
 def per_edge_max_cut(g) -> int:
-    """Oracle: every bipartition with vertex n-1 pinned, one numpy pass
-    per edge over the 2^(n-1) side masks."""
-    masks = np.arange(1 << (g.n - 1), dtype=np.uint64)
-    acc = np.zeros(masks.shape[0], dtype=np.uint16)
-    for u, v in g.edges:
-        acc += ((masks >> np.uint64(u) ^ masks >> np.uint64(v)) & np.uint64(1)).astype(np.uint16)
-    return int(acc.max())
+    """Oracle: every bipartition with vertex n-1 pinned to side 0, 2^18 at a
+    time; each edge adds the xor of its ends' sides, one byte pass."""
+    total = 1 << (g.n - 1)
+    best = 0
+    for start in range(0, total, 1 << 18):
+        masks = np.arange(start, min(total, start + (1 << 18)), dtype=np.uint32)
+        sides = [(masks >> v & 1).astype(np.uint8) for v in range(g.n - 1)]
+        sides.append(np.zeros(len(masks), dtype=np.uint8))
+        cut = np.zeros(len(masks), dtype=np.uint16)
+        for u, v in g.edges:
+            cut += sides[u] ^ sides[v]
+        best = max(best, int(cut.max()))
+    return best
+
+
+def traced_max_cut(g):
+    """max_cut(g) and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        value = max_cut(g)
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def petersen():
@@ -211,6 +229,16 @@ def petersen():
 
 CORPUS = standard_corpus()
 SAMPLE = small_connected_sample()
+
+# dense graphs with the n - alpha vertices that max cut tabulates: past the
+# 21 of one 2^20-entry table at n = 23 and 24, so its blocks run with S
+# non-empty; no graph on 22 vertices has alpha = 0, so K_22 stops at 21
+DENSE_TABULATED = {
+    "rand:n=22,m=231,seed=1": 21,
+    "rand:n=23,m=253,seed=1": 22,
+    "rand:n=24,m=256,seed=1": 22,
+    "rand:n=24,m=276,seed=1": 23,
+}
 
 
 class TestFrozenValues:
@@ -247,14 +275,15 @@ class TestFrozenValues:
         assert independence_number(k20) == 1
 
     def test_blocked_max_cut_closed_forms(self):
-        # n >= 22 adds the free vertices past the first 20 block by block
+        # K_24 tabulates the 23 vertices outside S, the free ones past the
+        # first 20 block by block; C_23 tabulates 12 and K_11,12 none
         assert max_cut(generate_named("complete", 24)) == 144
         assert max_cut(generate_named("cycle", 23)) == 22
         assert max_cut(generate_named("complete_bipartite", (11, 12))) == 132
 
     def test_max_cut_closed_forms_at_the_table_edges(self):
-        # K_21 and C_21 fill the largest unblocked table; K_23 has m = 253,
-        # the top of the one-byte table
+        # K_21 tabulates the 20 vertices outside S and C_21 the 11 outside
+        # its 10; K_23 has m = 253, the top of the one-byte table
         assert max_cut(generate_named("complete", 21)) == 110
         assert max_cut(generate_named("complete", 23)) == 132
         assert max_cut(generate_named("cycle", 21)) == 20
@@ -304,14 +333,20 @@ class TestAgainstReferences:
             assert vertex_bipartiteness(g) == enumerated_vb(g), g
 
     def test_max_cut_matches_per_edge_loop(self):
-        graphs = [g for _, g in SAMPLE] + [g for _, g in CORPUS if g.n <= 16]
+        graphs = [g for _, g in SAMPLE] + [g for _, g in CORPUS if g.n <= 20]
         for g in graphs:
             assert max_cut(g) == per_edge_max_cut(g), g
 
+    def test_oracle_small_max_cut_matches_per_edge_loop(self):
+        for spec in ORACLE_SMALL_VB:
+            g = parse_graph_spec(spec)[1]
+            assert max_cut(g) == per_edge_max_cut(g), spec
+
     def test_blocked_max_cut_matches_per_edge_loop(self):
-        for n, m in ((21, 30), (22, 30)):
-            g = generate_random_connected(n, m, seed=n)
-            assert max_cut(g) == per_edge_max_cut(g), (n, m)
+        for spec, t in DENSE_TABULATED.items():
+            g = parse_graph_spec(spec)[1]
+            assert g.n - independence_number(g) == t
+            assert max_cut(g) == per_edge_max_cut(g), spec
 
     def test_oracles_ignore_vertex_names(self):
         # the oracles relabel by degree; a renamed graph has the same values
@@ -329,30 +364,36 @@ class TestAgainstReferences:
             assert independence_number(g) == naive_alpha(g), g
 
     def test_max_cut_memory_is_blocked(self):
-        # one doubling over all 23 free vertices peaks at 92 MB here, the
-        # per-edge loop at 26 MB
+        # alpha = 8 leaves 16 vertices to tabulate, and the peak is 0.1 MB;
+        # all 23 free vertices took 1.6 MB in blocks of 2^20 entries, 92 MB
+        # in one doubling, and the per-edge loop over 2^23 masks at once 26 MB
         _, g = parse_graph_spec("rand:n=24,m=96,seed=3")
-        tracemalloc.start()
-        try:
-            value = max_cut(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        value, peak = traced_max_cut(g)
         assert value == 72  # the per-edge loop's value
         assert peak < 24 * 2**20
 
     def test_unblocked_max_cut_memory(self):
-        # one 2^20-entry byte table plus a 2^19-entry count; a uint32 side
-        # mask per entry and a copy of the table would pass 8 MB
+        # alpha = 7 leaves 14 vertices to tabulate; all 20 free vertices took
+        # 1.6 MB, and a uint32 side mask per entry with a copy of the table
+        # would pass 8 MB
         _, g = parse_graph_spec("rand:n=21,m=84,seed=3")
-        tracemalloc.start()
-        try:
-            value = max_cut(g)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        value, peak = traced_max_cut(g)
         assert value == 58  # the per-edge loop's value
         assert peak < 8 * 2**20
+
+    def test_max_cut_memory_of_a_sparse_member(self):
+        # alpha = 9: 2^10 table entries, where all 19 free vertices took a
+        # 2^19-byte table and a 2^18-byte count, 810 KB at the peak
+        _, g = parse_graph_spec("rand:n=20,m=40,seed=6498665209168132836")
+        value, peak = traced_max_cut(g)
+        assert value == 32  # the per-edge loop's value
+        assert peak < 64 * 2**10
+
+    @pytest.mark.parametrize("spec", ["rand:n=22,m=231,seed=1", "rand:n=24,m=276,seed=1"])
+    def test_max_cut_memory_of_the_largest_tables(self, spec):
+        # 2^20 table entries, a 2^19-entry count and its spare: 2.1 MB at
+        # m < 256 and 3.2 MB at m >= 256, whose entries take two bytes
+        assert traced_max_cut(parse_graph_spec(spec)[1])[1] < 4 * 2**20
 
 
 # the members of the oracle_small benchmark workload, with their vb
@@ -516,6 +557,36 @@ class TestPrismWitness:
         prism_witness_check(parse_graph_spec(f"rand:n=40,m={m},seed=1")[1], limit=40)
 
 
+def max_cut_witness_check(g):
+    """The bipartition that ``_max_cut`` returns, the best table entry with
+    each vertex of S on its better side, cuts max_cut(g) edges, recounted
+    edge by edge."""
+    size, side1 = _max_cut(OracleRecord(g))
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[np.argsort(g.degrees, kind="stable")] = np.arange(g.n)
+    sides = [side1 >> r & 1 for r in rank.tolist()]
+    assert sum(sides[u] != sides[v] for u, v in g.edges) == size == max_cut(g), g
+
+
+class TestMaxCutWitness:
+    def test_sample_and_corpus_graphs(self):
+        graphs = [g for _, g in SAMPLE] + [g for _, g in CORPUS if g.n <= 20]
+        graphs = [g for g in graphs if not is_bipartite(g)[0]]
+        assert len(graphs) > 100
+        for g in graphs:
+            max_cut_witness_check(g)
+
+    def test_oracle_small_members(self):
+        specs = [spec for spec in ORACLE_SMALL_VB if spec != "kbip:8,10"]
+        assert len(specs) == 19
+        for spec in specs:
+            max_cut_witness_check(parse_graph_spec(spec)[1])
+
+    def test_dense_graphs(self):
+        for spec in DENSE_TABULATED:
+            max_cut_witness_check(parse_graph_spec(spec)[1])
+
+
 class TestOracleRecord:
     def test_shared_record_equals_fresh_calls(self):
         graphs = [parse_graph_spec(spec)[1] for spec in ORACLE_SMALL_VB]
@@ -545,6 +616,23 @@ class TestOracleRecord:
         assert max_cut(record) == 48 - edge_bipartiteness(record)
         with pytest.raises(OracleLimitError, match="max cut"):
             edge_bipartiteness(record, limit=5)
+
+    def test_invariants_search_alpha_once(self, monkeypatch, capsys):
+        # alpha, the incumbent of vb and the S of max cut all read the one
+        # search of the record that `slq invariants` shares
+        searches = []
+        original = combinatorics._max_independent_set
+
+        def spy(nv, adj, cand=None, incumbent=0):
+            if cand is None:
+                searches.append(nv)
+            return original(nv, adj, cand, incumbent)
+
+        monkeypatch.setattr(combinatorics, "_max_independent_set", spy)
+        assert main(["invariants", "rand:n=20,m=40,seed=6498665209168132836"]) == 0
+        out = capsys.readouterr().out
+        assert "alpha = 9\nvertex_bipartiteness = 3\nedge_bipartiteness = 8\n" in out
+        assert searches == [20]
 
 
 class TestMaxCutOfBipartiteGraphs:
