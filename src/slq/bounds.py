@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import minmax
-from .combinatorics import OracleLimitError, vertex_bipartiteness
+from .combinatorics import OracleLimitError, OracleRecord, vertex_bipartiteness
 from .graphs import Graph, degree_profile, is_connected, is_regular
 from .minmax import SearchConfig
 # eigenvalues stays bound here, unused: the benchmark's tracing test
@@ -40,9 +40,9 @@ class CatalogOptions(NamedTuple):
 
 
 class GraphData:
-    """Caches the extreme eigenvalues, degree data and oracle values one
-    catalog run needs; each is computed on first read, so a spectrum no
-    entry reads is never solved."""
+    """Caches the extreme eigenvalues, degree data, gradient search and
+    oracle record of one graph; each is computed on first read, so a
+    spectrum no entry reads is never solved."""
 
     def __init__(self, g: Graph, options: Optional[CatalogOptions] = None):
         self.graph = g
@@ -100,11 +100,17 @@ class GraphData:
         return extreme_eigenvalues(GraphMatrix(self.graph, "adjacency")).top
 
     @cached_property
+    def oracles(self) -> OracleRecord:
+        """What the exact oracles share, read by the vb entries and
+        `slq invariants`."""
+        return OracleRecord(self.graph)
+
+    @cached_property
     def _vb(self):
         # the oracle's value, or the refusal it raised, so every vb entry
         # shares one oracle call
         try:
-            return vertex_bipartiteness(self.graph, limit=self.options.oracle_limit)
+            return vertex_bipartiteness(self.oracles, limit=self.options.oracle_limit)
         except OracleLimitError as exc:
             return exc
 

@@ -9,7 +9,10 @@ neighbourhood bitmasks in ascending degree order (one pass over the
 edges), the masks of G □ K2 derived from them, the bipartite flag of the
 graph's two-coloring, and alpha(G) with one maximum independent set S.
 Every oracle checks its own limit before it runs or reads a search, so a
-shared record refuses exactly as a fresh graph does.
+shared record refuses exactly as a fresh graph does.  Vertex bipartiteness
+and max cut first read the two-coloring: a bipartite graph, an edgeless
+one too, is answered (0 and m) at any n, and only then is the limit
+checked.
 
 Independence numbers come from a branch and bound for a maximum clique of
 the complement (Tomita's MCQ), pruned by a greedy clique cover, with the
@@ -26,7 +29,6 @@ the lowest-degree vertex, and the search starts without it.  Max cut
 tabulates, in place by doubling, only the 2^(n - alpha - 1) bipartitions
 of the vertices outside S, one of them pinned; each vertex of S then takes
 its better side on its own, which is exact because S has no inner edges.
-A bipartite graph cuts all its edges.
 """
 
 from __future__ import annotations
@@ -296,18 +298,16 @@ def _max_cut(record: OracleRecord):
 
 
 def max_cut(g, limit: Optional[int] = None) -> int:
-    """Maximum cut size of a Graph or OracleRecord.  Bipartite inputs
-    short-circuit to m; otherwise ``_max_cut`` tabulates the 2^(n-alpha-1)
+    """Maximum cut size of a Graph or OracleRecord.  A bipartite input
+    (an edgeless one too) cuts all m edges at any n; only then is the limit
+    checked.  Otherwise ``_max_cut`` tabulates the 2^(n-alpha-1)
     bipartitions of the vertices outside a maximum independent set S, and
     each vertex of S adds its better side.  That is exact because S has no
     inner edges: the side of one s changes the cut of no other."""
     record = _record(g)
-    g = record.graph
-    _check_limit("max cut", g.n, limit, EB_LIMIT)
-    if g.m == 0:
-        return 0
     if record.bipartite:
-        return g.m
+        return record.graph.m
+    _check_limit("max cut", record.graph.n, limit, EB_LIMIT)
     return _max_cut(record)[0]
 
 

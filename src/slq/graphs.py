@@ -218,11 +218,11 @@ def generate_named(family: str, params) -> Graph:
     if family == "path":
         if k < 1:
             raise GraphError("path needs at least 1 vertex")
-        return build_graph(k, [(i, i + 1) for i in range(k - 1)], allow_isolated=k == 1)
+        return build_graph(k, np.arange(k - 1)[:, None] + (0, 1), allow_isolated=k == 1)
     if family == "cycle":
         if k < 3:
             raise GraphError("cycle needs at least 3 vertices")
-        return build_graph(k, [(i, (i + 1) % k) for i in range(k)])
+        return build_graph(k, (np.arange(k)[:, None] + (0, 1)) % k)
     if family == "complete":
         if k < 1:
             raise GraphError("complete needs at least 1 vertex")
@@ -230,7 +230,7 @@ def generate_named(family: str, params) -> Graph:
     if family == "star":
         if k < 1:
             raise GraphError("star needs at least 1 leaf")
-        return build_graph(k + 1, [(0, i) for i in range(1, k + 1)])
+        return build_graph(k + 1, np.arange(1, k + 1)[:, None] * (0, 1))
     if family == "kn1uk1":
         if k < 3:
             raise GraphError("kn1uk1 needs at least 3 vertices")

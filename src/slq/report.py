@@ -16,7 +16,6 @@ from typing import NamedTuple, Optional
 from .bounds import CATALOG_BY_NAME, CatalogOptions, GraphData, evaluate_catalog
 from .combinatorics import (
     OracleLimitError,
-    OracleRecord,
     edge_bipartiteness,
     independence_number,
     vertex_bipartiteness,
@@ -24,12 +23,10 @@ from .combinatorics import (
 from .graphs import (
     Graph,
     GraphError,
-    degree_profile,
     generate_named,
     generate_random_connected,
     read_edge_list,
 )
-from .minmax import gradient_search
 from .spectra import GraphMatrix, eigenvalues
 from .validation import cell_violations, printed_form_excluded
 
@@ -245,7 +242,7 @@ def run_trace(spec: str, config: RunConfig) -> str:
     label, g = parse_graph_spec(spec, default_seed=config.seed)
     if g.n < 2:
         raise GraphSpecError(f"trace needs at least 2 vertices, {label} has {g.n}")
-    trace = gradient_search(GraphMatrix(g, "signless").operand, config.catalog.search)
+    trace = GraphData(g, config.catalog).search
     iters = list(range(1, len(trace.values) + 1))
     notes = [
         f"graph = {label}",
@@ -289,7 +286,8 @@ def run_invariants(spec: str, config: RunConfig) -> str:
     """Degree data plus the oracle invariants; an oracle refused above its
     size limit prints n/a with the reason."""
     label, g = parse_graph_spec(spec, default_seed=config.seed)
-    profile = degree_profile(g)
+    data = GraphData(g, config.catalog)
+    profile = data.profile
     pairs = [
         ("graph", label),
         ("n", str(g.n)),
@@ -299,11 +297,9 @@ def run_invariants(spec: str, config: RunConfig) -> str:
         ("M1", str(profile.m1)),
     ]
 
-    record = OracleRecord(g)
-
     def oracle(fn):
         try:
-            return str(fn(record, limit=config.catalog.oracle_limit))
+            return str(fn(data.oracles, limit=config.catalog.oracle_limit))
         except OracleLimitError as exc:
             return f"n/a ({exc})"
 

@@ -24,12 +24,7 @@ from .graphs import (
     generate_random_connected_many,
     is_bipartite,
 )
-from .minmax import (
-    f_value,
-    grad_f_squared,
-    gradient_search,
-    numerical_grad_f_squared,
-)
+from .minmax import f_value, grad_f_squared, numerical_grad_f_squared
 from .rng import SplitMix64
 from .spectra import (
     adjacency_matrix,
@@ -367,7 +362,7 @@ def check_gradients(report: Optional[ValidationReport] = None) -> ValidationRepo
         scale = max(1.0, float(np.linalg.norm(ana)))
         if float(np.linalg.norm(ana - num)) / scale > 1e-5:
             rep.gradient_failures.append(f"{label}: analytic vs numerical gradient")
-        trace = gradient_search(q)
+        trace = data.search
         worst = max((trace.initial_value,) + trace.values)
         if worst > data.s_q + SANDWICH_TOL:
             rep.gradient_failures.append(

@@ -20,7 +20,9 @@ from slq import (
     vertex_bipartiteness,
 )
 from slq import combinatorics
+from slq.bounds import GraphData, evaluate_catalog
 from slq.combinatorics import (
+    EB_LIMIT,
     OracleRecord,
     _adjacency_masks,
     _max_independent_set,
@@ -635,6 +637,26 @@ class TestOracleRecord:
         assert searches == [20]
 
 
+    def test_catalog_and_max_cut_share_one_alpha_search(self, monkeypatch):
+        # the vb entries fill the record of the GraphData; max cut then
+        # reads its S instead of searching again
+        searches = []
+        original = combinatorics._max_independent_set
+
+        def spy(nv, adj, cand=None, incumbent=0):
+            if cand is None:
+                searches.append(nv)
+            return original(nv, adj, cand, incumbent)
+
+        monkeypatch.setattr(combinatorics, "_max_independent_set", spy)
+        data = GraphData(parse_graph_spec("rand:n=20,m=40,seed=6498665209168132836")[1])
+        by_name = {o.name: o for o in evaluate_catalog(data)}
+        assert by_name["mu1_minus_vb"].evaluated
+        assert searches == [20]
+        assert max_cut(data.oracles) == 40 - 8
+        assert searches == [20]
+
+
 class TestMaxCutOfBipartiteGraphs:
     def test_no_table_is_built(self, monkeypatch):
         calls = []
@@ -644,9 +666,11 @@ class TestMaxCutOfBipartiteGraphs:
             return _adjacency_masks(*args, **kwargs)
 
         monkeypatch.setattr(combinatorics, "_adjacency_masks", spy)
-        sides = ((1, 1), (3, 4), (8, 10), (12, 12))
+        # K_{12,13} and C_40 lie past EB_LIMIT, which a bipartite graph never reaches
+        sides = ((1, 1), (3, 4), (8, 10), (12, 12), (12, 13))
         graphs = [generate_named("complete_bipartite", pq) for pq in sides]
-        graphs += [generate_named("cycle", n) for n in (4, 10, 20, 24)]
+        graphs += [generate_named("cycle", n) for n in (4, 10, 20, 24, 40)]
+        assert max(g.n for g in graphs) > EB_LIMIT
         for g in graphs:
             assert edge_bipartiteness(g) == 0
             assert max_cut(g) == g.m
@@ -654,6 +678,13 @@ class TestMaxCutOfBipartiteGraphs:
         # a non-bipartite graph still builds its masks
         assert edge_bipartiteness(generate_named("cycle", 5)) == 1
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("spec", ["kbip:20,20", "cycle:40"])
+    def test_invariants_past_the_eb_limit(self, capsys, spec):
+        assert main(["invariants", spec]) == 0
+        out = capsys.readouterr().out
+        assert "\nvertex_bipartiteness = 0\nedge_bipartiteness = 0\n" in out
+        assert "alpha = n/a (independence number: n=40 exceeds oracle limit 30)" in out
 
 
 class TestLimits:

@@ -250,6 +250,20 @@ class TestNamedFamilies:
         assert g.degrees.tolist() == [4, 4, 4, 4, 4, 0]
         assert not is_connected(g)
 
+    def test_index_arrays_match_the_edge_lists(self):
+        # path, cycle and star are built from index arrays; these are their lists
+        reference = {
+            "path": lambda k: build_graph(k, [(i, i + 1) for i in range(k - 1)],
+                                          allow_isolated=k == 1),
+            "cycle": lambda k: build_graph(k, [(i, (i + 1) % k) for i in range(k)]),
+            "star": lambda k: build_graph(k + 1, [(0, i) for i in range(1, k + 1)]),
+        }
+        for family, build in reference.items():
+            for k in range(3 if family == "cycle" else 1, 40):
+                g = generate_named(family, k)
+                assert g == build(k), (family, k)
+                assert g.degrees.tolist() == build(k).degrees.tolist()
+
     def test_unknown_family(self):
         with pytest.raises(GraphError, match="unknown family"):
             generate_named("wheel", 5)

@@ -3,11 +3,17 @@
 import csv
 import io
 import math
+import os
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import slq
 from slq import Graph, generate_named, generate_random_connected, spectra, write_edge_list
+from slq import bounds, validation
 from slq.bounds import CatalogOptions, GraphData, evaluate_catalog
 from slq.combinatorics import VB_LIMIT
 from slq.cli import main
@@ -548,6 +554,44 @@ class TestCliMain:
         assert captured.err == "error: out of memory: Unable to allocate 2.24 GiB for an array\n"
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("args, text, detail", [
+        (["table", "path:0"], None, "path needs at least 1 vertex"),
+        (["table", "complete:0"], None, "complete needs at least 1 vertex"),
+        (["table", "star:0"], None, "star needs at least 1 leaf"),
+        (["table", "kn1uk1:2"], None, "kn1uk1 needs at least 3 vertices"),
+        (["table", "kbip:0,3"], None, "complete_bipartite parts must be at least 1"),
+        (["table", "rand:n=5,m"], None, "expected key=value parts"),
+        (["table", "--bounds", ",", "path:3"], None, "--bounds got an empty list"),
+        (["table", "file:{}"], "x\n", "line 1: expected vertex count, got 'x'"),
+        (["table", "file:{}"], "0\n", "line 1: vertex count must be at least 1"),
+        (["table", "file:{}"], "3\n0 1 2\n", "line 2: expected 'i j', got '0 1 2'"),
+    ])
+    def test_refusal_is_one_error_line(self, capsys, tmp_path, args, text, detail):
+        if text is not None:
+            path = tmp_path / "bad.edges"
+            path.write_text(text)
+            args = [a.format(path) for a in args]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert detail in captured.err and "Traceback" not in captured.err
+
+    def test_validate_failure_exits_1(self, capsys, monkeypatch):
+        corpus = (("cycle:5", generate_named("cycle", 5)), ("path:4", generate_named("path", 4)))
+        monkeypatch.setattr(validation, "standard_corpus", lambda: corpus)
+        ncon = bounds.CATALOG_BY_NAME["Ncon"]
+        overshoot = ncon._replace(evaluate=lambda data: ncon.evaluate(data) + 100.0)
+        monkeypatch.setitem(bounds.CATALOG_BY_NAME, "Ncon", overshoot)
+        assert main(["validate"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("graphs checked: 2\n")
+        assert "unexcluded violations: 2\n" in out
+        # Ncon is 0 on a regular graph
+        assert "\n  FAIL cycle:5: Ncon = 100.000000 > s_Q = 3.618034\n" in out
+        assert "\n  FAIL path:4: Ncon = " in out
+        assert out.endswith("result: FAIL\n")
+
     def test_cli_byte_determinism(self, capsys):
         args = ["table", "rand:n=10,m=20,seed=7", "--bounds", "all", "--format", "csv"]
         assert main(args) == 0
@@ -658,3 +702,22 @@ class TestOneSignlessLaplacian:
         outcomes = evaluate_catalog(data, ("Z2", "eta", "one_step"))
         assert all(o.evaluated for o in outcomes) and data.s_q > 0
         assert assembled == ["adjacency_matrix"]
+
+
+def test_impossible_path_is_refused_under_a_memory_cap():
+    # a child under a 2 GB address-space cap: path:99999999999 asks for one
+    # 745 GiB index array, refused at once; never run it without the cap
+    cap = 2_000_000 * 1024
+    src = os.path.dirname(os.path.dirname(slq.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "slq.cli", "table", "path:99999999999"],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=path),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: out of memory: ") and done.stderr.count("\n") == 1
+    assert "Unable to allocate" in done.stderr
+    assert "Traceback" not in done.stderr and "MemoryError" not in done.stderr

@@ -455,6 +455,54 @@ class TestLanczosExtremes:
         assert (found.top, found.bottom) == (dense[0], dense[-1])
         assert_encloses(found, g, "signless")
 
+    def test_no_steps_certify_nothing(self):
+        for matrix in MATRICES:
+            assert spectra._lanczos_extremes(GraphMatrix(generate_named("cycle", 5), matrix), 0) is None
+
+    def test_ends_too_far_apart_certify_nothing(self, monkeypatch):
+        # an inner end widened by 1 is outside the contract of the outer end
+        g = generate_random_connected(450, 4500, seed=3)
+        original = spectra._rayleigh
+
+        def widened(w, y):
+            rho, (lo, hi) = original(w, y)
+            return rho, (lo - 1.0, hi + 1.0)
+
+        for matrix in MATRICES:
+            w = GraphMatrix(g, matrix)
+            assert spectra._lanczos_extremes(w, g.n // 5) is not None
+            monkeypatch.setattr(spectra, "_rayleigh", widened)
+            assert spectra._lanczos_extremes(w, g.n // 5) is None
+            monkeypatch.setattr(spectra, "_rayleigh", original)
+
+    def test_refused_certificate_falls_back_to_the_dense_solve(self, monkeypatch):
+        g = generate_random_connected(450, 4500, seed=3)
+        assert g.n > spectra.DENSE_LIMIT
+        refusals = []
+
+        def refuse(w, sign, shift, room):
+            refusals.append(w.kind)
+            return False
+
+        monkeypatch.setattr(spectra, "_positive_definite", refuse)
+        for matrix in ("signless", "laplacian"):
+            w = GraphMatrix(g, matrix)
+            spectrum = eigenvalues(w.dense)
+            values, tol = spectrum.values, spectrum.residual_tol
+            top, bottom = values[0], values[-1 if matrix == "signless" else -2]
+            found = spectra.extreme_eigenvalues(w)
+            assert (found.top, found.bottom) == (top, bottom)
+            assert found.top_enclosure == (top - tol, top + tol)
+            assert found.bottom_enclosure == (bottom - tol, bottom + tol)
+        # each Lanczos run got as far as Rump's test, which refused it
+        assert refusals == ["signless", "laplacian"]
+
+    def test_margin_not_below_room_is_refused(self):
+        g = generate_named("cycle", 5)
+        args = (GraphMatrix(g), 1.0, -3.0 * g.degrees.max())
+        assert spectra._positive_definite(*args, 1.0)
+        assert not spectra._positive_definite(*args, 0.0)
+
     def test_top_shifted_down_by_one_is_never_certified(self):
         for label, g in standard_corpus():
             q = signless_laplacian_matrix(g)
