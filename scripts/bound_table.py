@@ -3,18 +3,19 @@
 
 The degree-only columns depend only on (n, m, Delta, delta), so the
 script first prints them for the two published parameter rows, then
-builds full catalog tables for seeded random graphs with the same n and m
-(the underlying graphs are unpublished, so the spectral columns are fresh
-draws, reproducible through the seed).
+runs `slq table` on seeded random graphs with the same n and m (the
+underlying graphs are unpublished, so the spectral columns are fresh
+draws, reproducible through --seed). Every other argument, a flag or a
+further graph spec, passes through to `slq table`:
+
+    python3 scripts/bound_table.py --seed 2 --format csv path:5
 """
 
 import argparse
 import sys
 
 from slq import liu_23_value, meg2_value
-from slq.bounds import CatalogOptions
-from slq.minmax import SearchConfig
-from slq.report import RunConfig, run_table
+from slq.cli import main as slq
 
 PRINTED_ROWS = (
     # (n, m, Delta, delta)
@@ -24,16 +25,10 @@ PRINTED_ROWS = (
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    # no abbreviations: "--s" is slq table's (ambiguous) prefix, not --seed
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0], allow_abbrev=False)
     parser.add_argument("--seed", type=int, default=1, help="seed for the random rows")
-    search = SearchConfig._field_defaults
-    parser.add_argument("--iters", type=int, default=search["iterations"],
-                        help="eta search iterations")
-    parser.add_argument("--step", type=float, default=search["step"], help="eta search step size")
-    parser.add_argument("--format", choices=("text", "csv"), default="text", dest="fmt")
-    parser.add_argument("--extra", nargs="*", default=[], metavar="GRAPH",
-                        help="additional graph specs to append to the table")
-    args = parser.parse_args()
+    args, rest = parser.parse_known_args()
 
     print("degree-only columns from the printed parameters:")
     for n, m, Delta, delta in PRINTED_ROWS:
@@ -43,21 +38,8 @@ def main() -> int:
             f"liu_2.3={liu_23_value(n, m, Delta):.2f}"
         )
     print()
-
-    sources = tuple(
-        f"rand:n={n},m={m},seed={args.seed}" for n, m, _, _ in PRINTED_ROWS
-    ) + tuple(args.extra)
-    config = RunConfig(
-        sources=sources,
-        fmt=args.fmt,
-        seed=args.seed,
-        catalog=CatalogOptions(
-            search=SearchConfig(iterations=args.iters, step=args.step)
-        ),
-    )
-    text, code = run_table(config)
-    sys.stdout.write(text)
-    return code
+    rows = [f"rand:n={n},m={m},seed={args.seed}" for n, m, _, _ in PRINTED_ROWS]
+    return slq(["table", *rows, *rest])
 
 
 if __name__ == "__main__":

@@ -3,7 +3,8 @@
 
 For each graph the script runs the projected gradient search at a given
 iteration budget and reports the ratio of the best value found to the
-exact spread, then summary statistics per step schedule.
+exact spread, then summary statistics per step schedule.  A refused
+setting or graph exits 2 with one `error:` line.
 """
 
 import argparse
@@ -13,6 +14,35 @@ import numpy as np
 
 from slq import GraphData, generate_random_connected
 from slq.minmax import SearchConfig, gradient_search
+
+
+def report(args) -> None:
+    if args.graphs < 1:
+        raise ValueError("--graphs must be at least 1")
+    configs = {
+        mode: SearchConfig(iterations=args.iters, step=args.step, step_mode=mode)
+        for mode in ("constant", "decreasing")
+    }
+    ratios = {mode: [] for mode in configs}
+    print("graph        m    s_Q      " + "".join(f"eta/{m:<11}" for m in configs))
+    for j in range(args.graphs):
+        m = args.m_start + args.m_step * j
+        g = generate_random_connected(args.n, m, seed=args.seed + j)
+        data = GraphData(g)
+        s_q = data.s_q
+        row = [f"n={args.n},#{j:<3}  {m:<4} {s_q:7.3f} "]
+        for mode, cfg in configs.items():
+            ratio = gradient_search(data.q.operand, cfg).best_value / s_q
+            ratios[mode].append(ratio)
+            row.append(f"  {ratio:13.4f}")
+        print("".join(row))
+    print()
+    for mode, values in ratios.items():
+        arr = np.array(values)
+        print(
+            f"{mode:10} step: mean {arr.mean():.4f}  min {arr.min():.4f}  "
+            f"max {arr.max():.4f}"
+        )
 
 
 def main() -> int:
@@ -26,29 +56,11 @@ def main() -> int:
     parser.add_argument("--step", type=float, default=search["step"], help="step size")
     parser.add_argument("--seed", type=int, default=600000, help="seed of the first graph")
     args = parser.parse_args()
-
-    schedules = ("constant", "decreasing")
-    ratios = {mode: [] for mode in schedules}
-    print("graph        m    s_Q      " + "".join(f"eta/{m:<11}" for m in schedules))
-    for j in range(args.graphs):
-        m = args.m_start + args.m_step * j
-        g = generate_random_connected(args.n, m, seed=args.seed + j)
-        data = GraphData(g)
-        s_q = data.s_q
-        row = [f"n={args.n},#{j:<3}  {m:<4} {s_q:7.3f} "]
-        for mode in schedules:
-            cfg = SearchConfig(iterations=args.iters, step=args.step, step_mode=mode)
-            ratio = gradient_search(data.q.operand, cfg).best_value / s_q
-            ratios[mode].append(ratio)
-            row.append(f"  {ratio:13.4f}")
-        print("".join(row))
-    print()
-    for mode in schedules:
-        arr = np.array(ratios[mode])
-        print(
-            f"{mode:10} step: mean {arr.mean():.4f}  min {arr.min():.4f}  "
-            f"max {arr.max():.4f}"
-        )
+    try:
+        report(args)
+    except ValueError as exc:  # GraphError and the SearchConfig checks are ValueErrors
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -50,8 +50,6 @@ def _add_flags(sub: argparse.ArgumentParser, *names: str):
                             help="step schedule: s or s/sqrt(k)"),
         "--format": dict(choices=("csv", "text"), default=run["fmt"], dest="fmt",
                          help="output format (default %(default)s)"),
-        "--seed": dict(type=int, default=None, metavar="U64",
-                       help="default seed for rand: specs without seed="),
         "--precision": dict(type=int, default=run["precision"], metavar="D",
                             help=f"text decimals, 0..{MAX_PRECISION} (default %(default)s)"),
     }
@@ -79,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated catalog names, or 'all' "
         f"(default: {','.join(DEFAULT_BOUNDS)})",
     )
-    _add_flags(p_table, "--oracle-limit", *search, "--format", "--seed", "--precision")
+    _add_flags(p_table, "--oracle-limit", *search, "--format", "--precision")
     p_table.set_defaults(func=_cmd_table, command_parser=p_table)
 
     p_val = subs.add_parser(
@@ -90,19 +88,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trace = subs.add_parser("trace", help="gradient-search trace for one graph")
     p_trace.add_argument("source", metavar="GRAPH")
-    _add_flags(p_trace, *search, "--format", "--seed", "--precision")
+    _add_flags(p_trace, *search, "--format", "--precision")
     p_trace.set_defaults(func=_cmd_trace, command_parser=p_trace)
 
     p_spec = subs.add_parser("spectrum", help="eigenvalues of a graph matrix")
     p_spec.add_argument("source", metavar="GRAPH")
     p_spec.add_argument("--matrix", choices=("adjacency", "laplacian", "signless"),
                         default="signless", help="which matrix (default signless)")
-    _add_flags(p_spec, "--format", "--seed")
+    _add_flags(p_spec, "--format")
     p_spec.set_defaults(func=_cmd_spectrum, command_parser=p_spec)
 
     p_inv = subs.add_parser("invariants", help="degree and oracle invariants")
     p_inv.add_argument("source", metavar="GRAPH")
-    _add_flags(p_inv, "--oracle-limit", "--format", "--seed")
+    _add_flags(p_inv, "--oracle-limit", "--format")
     p_inv.set_defaults(func=_cmd_invariants, command_parser=p_inv)
 
     return parser
@@ -133,7 +131,6 @@ def _run_config(args, bounds=DEFAULT_BOUNDS) -> RunConfig:
         bounds=bounds,
         fmt=flags.get("fmt", RunConfig._field_defaults["fmt"]),
         precision=precision,
-        seed=flags.get("seed"),
         catalog=CatalogOptions(oracle_limit=oracle_limit, search=search),
     )
 

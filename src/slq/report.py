@@ -53,12 +53,12 @@ def _integers(spec: str, text: str, count: int, form: str) -> list:
     return values
 
 
-def parse_graph_spec(spec: str, default_seed: Optional[int] = None):
+def parse_graph_spec(spec: str):
     """Parse a graph source spec into (label, Graph).
 
     Accepted forms: "path:5", "cycle:6", "complete:4", "star:4",
     "kbip:3,3", "kn1uk1:6", "rand:n=40,m=634,seed=1", "file:PATH".
-    A rand spec may omit seed= when a default seed is supplied.
+    A rand spec needs all three of n=, m= and seed=.
     """
     if ":" not in spec:
         raise GraphSpecError(f"malformed graph spec {spec!r}: expected 'kind:params'")
@@ -82,16 +82,9 @@ def parse_graph_spec(spec: str, default_seed: Optional[int] = None):
                 if key in fields:
                     raise GraphSpecError(f"rand spec {spec!r} repeats {key}=")
                 (fields[key],) = _integers(spec, value, 1, "rand:n=N,m=M,seed=S of integers")
-            extra = set(fields) - {"n", "m", "seed"}
-            if extra or "n" not in fields or "m" not in fields:
-                raise GraphSpecError(
-                    f"rand spec {spec!r} needs n=, m= and optionally seed="
-                )
-            seed = fields.get("seed", default_seed)
-            if seed is None:
-                raise GraphSpecError(
-                    f"rand spec {spec!r} has no seed; add seed= or pass --seed"
-                )
+            if set(fields) != {"n", "m", "seed"}:
+                raise GraphSpecError(f"rand spec {spec!r} needs n=, m= and seed=")
+            seed = fields["seed"]
             # reduced mod 2^64 it would alias an in-range seed under another label
             if not 0 <= seed < 2**64:
                 raise GraphSpecError(f"rand spec {spec!r}: seed {seed} is outside [0, 2^64)")
@@ -118,7 +111,6 @@ class RunConfig(NamedTuple):
     bounds: tuple = DEFAULT_BOUNDS
     fmt: str = "text"
     precision: int = 2
-    seed: Optional[int] = None
     catalog: CatalogOptions = CatalogOptions()
 
 
@@ -181,7 +173,7 @@ def run_table(config: RunConfig):
     columns = resolve_bounds(config.bounds)
     rows = []
     for spec in config.sources:
-        label, g = parse_graph_spec(spec, default_seed=config.seed)
+        label, g = parse_graph_spec(spec)
         seed = None
         if label.startswith("rand:"):
             seed = int(label.rsplit("seed=", 1)[1])
@@ -239,7 +231,7 @@ def run_trace(spec: str, config: RunConfig) -> str:
     """Gradient-search trace for one graph under config.catalog.search:
     iteration header row, value row, then footer notes (start value, best,
     perturbation, stagnation)."""
-    label, g = parse_graph_spec(spec, default_seed=config.seed)
+    label, g = parse_graph_spec(spec)
     if g.n < 2:
         raise GraphSpecError(f"trace needs at least 2 vertices, {label} has {g.n}")
     trace = GraphData(g, config.catalog).search
@@ -270,7 +262,7 @@ def run_trace(spec: str, config: RunConfig) -> str:
 def run_spectrum(spec: str, config: RunConfig, matrix: str = "signless") -> str:
     """Eigenvalues of the chosen graph matrix, descending, 17 significant
     digits, one per line (CSV: index,value rows)."""
-    label, g = parse_graph_spec(spec, default_seed=config.seed)
+    label, g = parse_graph_spec(spec)
     try:
         w = GraphMatrix(g, matrix)
     except ValueError:
@@ -285,7 +277,7 @@ def run_spectrum(spec: str, config: RunConfig, matrix: str = "signless") -> str:
 def run_invariants(spec: str, config: RunConfig) -> str:
     """Degree data plus the oracle invariants; an oracle refused above its
     size limit prints n/a with the reason."""
-    label, g = parse_graph_spec(spec, default_seed=config.seed)
+    label, g = parse_graph_spec(spec)
     data = GraphData(g, config.catalog)
     profile = data.profile
     pairs = [

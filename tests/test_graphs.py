@@ -29,7 +29,9 @@ from slq import (
 from slq.combinatorics import independence_number, vertex_bipartiteness
 from slq import graphs as graphs_module
 from slq.graphs import _PACKED_SORT_MIN, _fisher_yates_picks, _stable_order
+from slq.minmax import f_value
 from slq.rng import SplitMix64, below_streams, splitmix64_stream
+from slq.spectra import line_graph
 from slq.validation import small_connected_sample, standard_corpus
 
 # strategy: (n, m, seed) triples that always admit a connected graph
@@ -803,3 +805,27 @@ class TestEdgeListFormat:
         n, m, seed = spec
         g = generate_random_connected(n, m, seed)
         assert read_edge_list(write_edge_list(g)) == g
+
+
+@pytest.mark.parametrize("error, call, message", [
+    (GraphError, lambda: generate_named("complete_bipartite", 5),
+     r"complete_bipartite takes a \(p, q\) pair"),
+    (GraphError, lambda: generate_named("path", "x"), "family 'path' takes a single integer"),
+    (GraphError, lambda: generate_regular_circulant(4, 4), "need 1 <= k < n"),
+    (GraphError, lambda: generate_regular_circulant(4, 0), "need 1 <= k < n"),
+    (GraphError, lambda: generate_random_connected_many([(1, 0, 1)]), "need at least 2 vertices"),
+    (GraphError, lambda: build_graph(3.0, [(0, 1), (1, 2)]), "vertex count must be an integer"),
+    (GraphError, lambda: build_graph(True, []), "vertex count must be an integer"),
+    (GraphError, lambda: line_graph(generate_named("path", 1)), "line graph of an edgeless graph"),
+    (ValueError, lambda: f_value(np.ones((2, 3)), np.ones(3) / 3**0.5), "matrix must be square"),
+    (ValueError, lambda: f_value(np.ones(4), np.ones(2) / 2**0.5), "matrix must be square"),
+    (ValueError, lambda: SplitMix64(1).shuffle_prefix([0, 1], 3), "prefix length out of range"),
+    (ValueError, lambda: SplitMix64(1).shuffle_prefix([0, 1], -1), "prefix length out of range"),
+], ids=["kbip-not-a-pair", "family-not-an-integer", "circulant-k-equals-n", "circulant-k-0",
+        "many-one-vertex", "build-float-n", "build-bool-n", "line-graph-edgeless",
+        "matrix-not-square", "matrix-one-dimensional", "prefix-too-long", "prefix-negative"])
+def test_library_refusal(error, call, message):
+    """Each library entry point refuses a bad argument with an error that
+    says what is wrong; the graph layer's is a GraphError."""
+    with pytest.raises(error, match=message):
+        call()

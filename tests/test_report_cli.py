@@ -4,6 +4,7 @@ import csv
 import io
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -13,7 +14,7 @@ import pytest
 
 import slq
 from slq import Graph, generate_named, generate_random_connected, spectra, write_edge_list
-from slq import bounds, validation
+from slq import bounds, minmax, validation
 from slq.bounds import CatalogOptions, GraphData, evaluate_catalog
 from slq.combinatorics import VB_LIMIT
 from slq.cli import main
@@ -80,23 +81,21 @@ class TestParseGraphSpec:
         assert label == "rand:n=8,m=12,seed=5"
         assert g == generate_random_connected(8, 12, 5)
 
-    def test_rand_uses_default_seed_and_canonicalizes_label(self):
-        label, g = parse_graph_spec("rand:n=8,m=12", default_seed=9)
+    def test_rand_label_is_canonical(self):
+        label, g = parse_graph_spec("rand:seed=9, m=12,n=8")
         assert label == "rand:n=8,m=12,seed=9"
         assert g == generate_random_connected(8, 12, 9)
 
-    @pytest.mark.parametrize("spec, default", [
-        ("rand:n=6,m=7,seed=-1", None),
-        ("rand:n=6,m=7,seed=18446744073709551616", None),
-        ("rand:n=6,m=7", -1),
-        ("rand:n=6,m=7", 2**64),
+    @pytest.mark.parametrize("spec", [
+        "rand:n=6,m=7,seed=-1",
+        "rand:n=6,m=7,seed=18446744073709551616",
     ])
-    def test_seed_outside_u64_refused(self, spec, default):
+    def test_seed_outside_u64_refused(self, spec):
         with pytest.raises(GraphSpecError, match=r"outside \[0, 2\^64\)"):
-            parse_graph_spec(spec, default_seed=default)
+            parse_graph_spec(spec)
 
     def test_rand_without_any_seed(self):
-        with pytest.raises(GraphSpecError, match="no seed"):
+        with pytest.raises(GraphSpecError, match="needs n=, m= and seed="):
             parse_graph_spec("rand:n=8,m=12")
 
     @pytest.mark.parametrize("spec, key", [
@@ -131,7 +130,7 @@ class TestParseGraphSpec:
     )
     def test_malformed_specs(self, bad):
         with pytest.raises(GraphSpecError):
-            parse_graph_spec(bad, default_seed=1)
+            parse_graph_spec(bad)
 
 
 class TestResolveBounds:
@@ -199,7 +198,7 @@ class TestRunTable:
         assert "4.0000" in text
 
     def test_seed_column_only_for_rand(self):
-        config = RunConfig(sources=("rand:n=6,m=8",), seed=3, fmt="csv")
+        config = RunConfig(sources=("rand:n=6,m=8,seed=3",), fmt="csv")
         text, _ = run_table(config)
         rows = parse_table_csv(text)
         assert rows[0]["graph"] == "rand:n=6,m=8,seed=3"
@@ -254,6 +253,21 @@ class TestRunTraceSpectrumInvariants:
     def test_trace_notes_perturbation_on_regular(self):
         out = run_trace("complete:4", RunConfig(sources=()))
         assert "start point perturbed" in out
+
+    def test_trace_notes_stagnation(self, monkeypatch):
+        # the third tangent step (iteration 3) finds a stationary point
+        step, calls = minmax._tangent_step, []
+
+        def stalls_third(*args):
+            calls.append(None)
+            return None if len(calls) == 3 else step(*args)
+
+        monkeypatch.setattr(minmax, "_tangent_step", stalls_third)
+        catalog = CatalogOptions(search=SearchConfig(iterations=5))
+        lines = run_trace("path:5", RunConfig(sources=(), catalog=catalog)).splitlines()
+        values = lines[1].split()[1:]
+        assert len(values) == 5 and values[2:] == [values[1]] * 3
+        assert lines[-1] == "stagnated at iteration 3"
 
     def test_trace_csv(self):
         catalog = CatalogOptions(search=SearchConfig(iterations=4))
@@ -408,26 +422,20 @@ class TestCliMain:
 
     def test_rand_needs_seed(self, capsys):
         assert main(["table", "rand:n=6,m=8"]) == 2
-        assert "seed" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: rand spec 'rand:n=6,m=8' needs n=, m= and seed=\n"
 
-    def test_seed_flag_feeds_rand(self, capsys):
-        assert main(["table", "rand:n=6,m=8", "--seed", "3", "--format", "csv"]) == 0
-        rows = parse_table_csv(capsys.readouterr().out)
-        assert rows[0]["graph"].endswith("seed=3")
-
-    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)])
-    @pytest.mark.parametrize("form", ["spec", "flag"])
-    def test_seed_outside_u64_exits_2(self, capsys, seed, form):
-        spec, flags = ("rand:n=6,m=7,seed=" + seed, []) if form == "spec" else (
-            "rand:n=6,m=7", ["--seed", seed])
-        assert main(["table", spec] + flags) == 2
+    @pytest.mark.parametrize("seed", ["-1", str(2**64), str(2**64 + 5)],
+                             ids=lambda seed: f"spec-{seed}")
+    def test_seed_outside_u64_exits_2(self, capsys, seed):
+        assert main(["table", "rand:n=6,m=7,seed=" + seed]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
     def test_largest_u64_seed_is_accepted(self, capsys):
         seed = str(2**64 - 1)
-        for args in (["rand:n=6,m=7,seed=" + seed], ["rand:n=6,m=7", "--seed", seed]):
-            assert main(["table", *args, "--format", "csv"]) == 0
-            assert parse_table_csv(capsys.readouterr().out)[0]["graph"].endswith("seed=" + seed)
+        assert main(["table", "rand:n=6,m=7,seed=" + seed, "--format", "csv"]) == 0
+        assert parse_table_csv(capsys.readouterr().out)[0]["graph"].endswith("seed=" + seed)
 
     def test_usage_error(self):
         with pytest.raises(SystemExit) as err:
@@ -592,6 +600,42 @@ class TestCliMain:
         assert "\n  FAIL path:4: Ncon = " in out
         assert out.endswith("result: FAIL\n")
 
+    @pytest.mark.parametrize("title, module, name, broken, failure", [
+        ("equality fixtures", bounds, "ub_global_2n4", lambda f: lambda d: f(d) + 1.0,
+         "global_2n4(kn1uk1:5): got 7.0, expected 6.0"),
+        ("matrix identities", validation, "incidence_matrix", lambda f: lambda g: 2 * f(g),
+         ": I I^T != Q"),
+        ("matrix identities", validation, "oriented_incidence_matrix",
+         lambda f: lambda g, signs: 2 * f(g, signs), ": K K^T != L"),
+        ("matrix identities", validation, "adjacency_matrix",
+         lambda f: lambda g: f(g) + np.eye(g.n), ": q_i != 2 + line-graph lambda_i"),
+        ("gradient checks", validation, "numerical_grad_f_squared",
+         lambda f: lambda q, x: f(q, x) + 1.0, ": analytic vs numerical gradient"),
+        ("gradient checks", minmax, "gradient_search",
+         lambda f: lambda w, config: f(w, config)._replace(values=(1e3,)),
+         ": search trace value 1000.00000000 exceeds s_Q = "),
+        ("gradient checks", minmax, "gradient_search",
+         lambda f: lambda w, config: f(w, config)._replace(best_value=-1.0),
+         ": best_vector inconsistent with best_value"),
+    ], ids=["fixture", "incidence", "oriented-incidence", "line-graph", "gradient",
+            "trace-above-s_Q", "best-vector"])
+    def test_validate_check_failure_exits_1(self, capsys, monkeypatch, title, module, name,
+                                            broken, failure):
+        # an empty corpus leaves the sandwich nothing to flag
+        monkeypatch.setattr(validation, "standard_corpus", lambda: ())
+        monkeypatch.setattr(module, name, broken(getattr(module, name)))
+        assert main(["validate"]) == 1
+        out = capsys.readouterr().out
+        assert out.startswith("graphs checked: 0\n")
+        assert "unexcluded violations: 0\n" in out
+        for other in {"equality fixtures", "matrix identities", "gradient checks"} - {title}:
+            assert f"\n{other}: OK\n" in out
+        found = re.search(rf"\n{title}: (\d+) failures\n((?:  FAIL .*\n)+)", out)
+        fails = found[2].splitlines()
+        assert int(found[1]) == len(fails)
+        assert failure in fails[0]
+        assert out.endswith("result: FAIL\n")
+
     def test_cli_byte_determinism(self, capsys):
         args = ["table", "rand:n=10,m=20,seed=7", "--bounds", "all", "--format", "csv"]
         assert main(args) == 0
@@ -606,6 +650,9 @@ class TestCliMain:
             (["invariants", "cycle:5", "--step", "-1"], "--step"),
             (["validate", "--format", "csv"], "--format"),
             (["trace", "cycle:5", "--oracle-limit", "3"], "--oracle-limit"),
+            # a rand: spec carries its own seed; no subcommand has a second way in
+            *[([command, "rand:n=6,m=8,seed=3", "--seed", "3"], "--seed")
+              for command in ("table", "trace", "spectrum", "invariants")],
         ],
     )
     def test_flags_the_subcommand_does_not_read_are_refused(self, capsys, args, flag):
